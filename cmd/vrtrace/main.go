@@ -1,7 +1,9 @@
 // Command vrtrace steps a simulation cycle by cycle and prints a compact
 // pipeline trace: reorder-buffer occupancy, commit progress, stall causes
 // and runahead-engine activity. Useful for seeing Vector Runahead's
-// trigger/vectorize/terminate rhythm against the main thread's stalls.
+// trigger/vectorize/terminate rhythm against the main thread's stalls. The
+// simulation is assembled by harness.Trace, the same path that produces
+// vrbench's numbers, so every technique can be traced.
 //
 // Usage:
 //
@@ -14,18 +16,14 @@ import (
 	"os"
 	"strings"
 
-	"vrsim/internal/core"
-	"vrsim/internal/cpu"
 	"vrsim/internal/harness"
-	"vrsim/internal/mem"
-	"vrsim/internal/prefetch"
 	"vrsim/internal/workloads"
 )
 
 func main() {
 	var (
 		workload = flag.String("workload", "camel", "workload name")
-		tech     = flag.String("tech", "vr", "technique: ooo|pre|vr")
+		tech     = flag.String("tech", "vr", "technique: ooo|pre|imp|vr|oracle|ra")
 		cycles   = flag.Uint64("cycles", 2000, "cycles to trace (after warmup)")
 		warmup   = flag.Uint64("warmup", 50_000, "instructions to run before tracing")
 		every    = flag.Uint64("every", 10, "print one line every N cycles")
@@ -43,74 +41,38 @@ func main() {
 		return
 	}
 
-	cpuCfg, memCfg := cpu.DefaultConfig(), mem.DefaultConfig()
-	vrCfg, preCfg := core.DefaultVRConfig(), core.DefaultPREConfig()
-	for _, err := range []error{cpuCfg.Validate(), memCfg.Validate(), vrCfg.Validate(), preCfg.Validate()} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	fmt.Println("cycle     committed  ROB  rob-bar                 mlp  state")
+	rc := harness.DefaultRunConfig(harness.Technique(*tech))
+	sum, err := harness.Trace(w, rc, *warmup, *cycles, *every, func(start, s *harness.Snapshot) {
+		state := "main"
+		if strings.HasSuffix(s.EngineMode, ":runahead") {
+			state = strings.Replace(s.EngineMode, ":", "-", 1)
 		}
-	}
-
-	data := w.Fresh()
-	hier := mem.MustHierarchy(memCfg)
-	hier.Data = data
-	hier.SetPrefetcher(prefetch.NewStreamPrefetcher(16, 4))
-	c := cpu.New(cpuCfg, w.Prog, data, hier)
-
-	var vr *core.VR
-	switch harness.Technique(*tech) {
-	case harness.TechVR:
-		vr = core.NewVR(vrCfg)
-		vr.Bind(c)
-	case harness.TechPRE:
-		c.AttachEngine(core.NewPRE(preCfg))
-	case harness.TechOoO:
-	default:
-		fmt.Fprintf(os.Stderr, "vrtrace: unsupported technique %q\n", *tech)
-		os.Exit(1)
-	}
-
-	if err := c.Run(w.SkipInstrs + *warmup); err != nil {
+		if s.WindowStall {
+			state += " +window-stall"
+		}
+		bar := strings.Repeat("#", s.ROB*20/s.ROBCap)
+		fmt.Printf("%-9d %-10d %-4d %-22s %-4d %s\n",
+			s.Cycle-start.Cycle, s.Committed-start.Committed, s.ROB, bar, s.MSHR, state)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	fmt.Println("cycle     committed  ROB  rob-bar                 mlp  state")
-	start := c.Cycle()
-	prevCommitted := c.Stats.Committed
-	for c.Cycle() < start+*cycles && !c.Halted() {
-		c.Step()
-		if (c.Cycle()-start)%*every != 0 {
-			continue
-		}
-		occ := c.ROBOccupancy()
-		bar := strings.Repeat("#", occ*20/c.Config().ROBSize)
-		mlp := hier.MSHR.InFlight(c.Cycle())
-		state := "main"
-		if vr != nil && vr.Active() {
-			state = "vr-runahead"
-		}
-		if bl, ok := c.BlockedLoadAtHead(); ok && bl.Full {
-			state += " +window-stall"
-		}
-		fmt.Printf("%-9d %-10d %-4d %-22s %-4d %s\n",
-			c.Cycle()-start, c.Stats.Committed-prevCommitted, occ, bar, mlp, state)
-	}
-
+	traced, committed := sum.End.Cycle-sum.Start.Cycle, sum.End.Committed-sum.Start.Committed
 	fmt.Printf("\n%d cycles traced, %d instructions committed (IPC %.3f)\n",
-		c.Cycle()-start, c.Stats.Committed-prevCommitted,
-		float64(c.Stats.Committed-prevCommitted)/float64(c.Cycle()-start))
+		traced, committed, float64(committed)/float64(traced))
 	names := []string{"none", "int-alu", "int-mul", "int-div", "fp-add", "fp-mul", "fp-div", "mem", "branch"}
 	fmt.Printf("issued by port:")
-	for fu, n := range c.Stats.FUIssued {
+	for fu, n := range sum.Stats.FUIssued {
 		if n > 0 && fu < len(names) {
 			fmt.Printf(" %s=%d", names[fu], n)
 		}
 	}
 	fmt.Println()
-	if vr != nil {
-		s := vr.Stats
+	if rc.Tech == harness.TechVR {
+		s := sum.VR
 		fmt.Printf("VR: %d activations, %d chains, %d gathers, %d vector uops\n",
 			s.Activations, s.ChainsVectorized, s.GatherLoads, s.VectorUops)
 	}

@@ -1,8 +1,9 @@
 // Package observe statically enforces the PR 6 purity contract: the
 // observational hooks that cross-validate the cycle core — CommitObserver
 // and LoadObserver implementations, engine Holding() predicates,
-// cpu.Core.CheckInvariants, and the oracle's per-commit Check — must not
-// write simulator state. Their call closure may write only observer-owned
+// cpu.Core.CheckInvariants, the oracle's per-commit Check, and the
+// harness's machine snapshot (which harness.Trace takes every sampled
+// cycle) — must not write simulator state. Their call closure may write only observer-owned
 // shadow state (the oracle's interpreter, Divergence latches, trace
 // buffers); any write reaching cpu.Core, an engine, or the memory system
 // would make -check runs diverge from unchecked ones, invalidating the
@@ -12,8 +13,8 @@
 //
 //  1. collects entry points: every function value assigned to a
 //     CommitObserver/LoadObserver field, methods named OnCommit, engine
-//     Holding methods, cpu.Core.CheckInvariants, and oracle Check
-//     methods;
+//     Holding methods, cpu.Core.CheckInvariants, oracle Check methods,
+//     and the harness's instance snapshot;
 //  2. computes interprocedural write-effect summaries (writes-receiver /
 //     writes-param-i / writes-global) for every module function by
 //     fixpoint over the call graph;
@@ -137,6 +138,8 @@ func (c *checker) entryPoints() []string {
 		case name == "CheckInvariants" && strings.HasSuffix(path, "internal/cpu"):
 			set[key] = true
 		case name == "Check" && strings.Contains(path, "oracle"):
+			set[key] = true
+		case name == "snapshot" && strings.HasSuffix(path, "internal/harness"):
 			set[key] = true
 		}
 	}

@@ -201,24 +201,6 @@ func TestCellScopeIsOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestCampaignScopeForcesSerial: a shared injector is only deterministic
-// when cells execute in declaration order, so campaign scope must clamp
-// the worker pool to 1 regardless of the Parallel setting.
-func TestCampaignScopeForcesSerial(t *testing.T) {
-	opt := Options{Parallel: 8, FaultScope: FaultScopeCampaign}
-	if got := opt.parallel(); got != 1 {
-		t.Errorf("campaign scope parallel() = %d, want 1", got)
-	}
-	opt = Options{Parallel: 8}
-	opt.FaultInjector = mem.NewFaultInjector(mem.FaultConfig{Seed: 1, DropPrefetchProb: 0.5})
-	if got := opt.parallel(); got != 1 {
-		t.Errorf("explicit shared injector parallel() = %d, want 1", got)
-	}
-	if got := (&Options{Parallel: 8}).parallel(); got != 8 {
-		t.Errorf("cell scope parallel() = %d, want 8", got)
-	}
-}
-
 // TestSpeedupZeroGuards: zero-cycle or zero-instruction results on either
 // side of a Speedup must yield a finite 0, never NaN or Inf.
 func TestSpeedupZeroGuards(t *testing.T) {

@@ -67,13 +67,6 @@ type RunConfig struct {
 	// Faults configures deterministic fault injection in the memory
 	// system; the zero value disables it.
 	Faults mem.FaultConfig
-	// FaultInjector, when non-nil, is used instead of building a fresh
-	// injector from Faults. Sharing one injector across a campaign's runs
-	// lets its Nth-access faults land in whichever cell reaches them. It
-	// is live state, not configuration, so it never crosses the
-	// process-isolation wire format (which excludes campaign-shared
-	// injectors by construction).
-	FaultInjector *mem.FaultInjector `json:"-"`
 	// Check enables the cosimulation oracle and the runtime invariant
 	// checker: every architectural commit is validated against an in-order
 	// reference model over a shadow memory, and microarchitectural
@@ -237,10 +230,7 @@ func newInstance(w *workloads.Workload, rc RunConfig) (*instance, error) {
 	if rc.Tech == TechOracle {
 		hier.PerfectL1 = true
 	}
-	switch {
-	case rc.FaultInjector != nil:
-		hier.Faults = rc.FaultInjector
-	case rc.Faults.Enabled():
+	if rc.Faults.Enabled() {
 		hier.Faults = mem.NewFaultInjector(rc.Faults)
 	}
 
@@ -313,6 +303,50 @@ func Run(w *workloads.Workload, rc RunConfig) (Result, error) {
 		return Result{}, fmt.Errorf("%s/%s: %w", w.Name, rc.Tech, err)
 	}
 	return res, nil
+}
+
+// TraceSummary is what Trace reports once it stops: the machine state at
+// the start and end of the traced window, plus the core's and the VR
+// engine's cumulative counters (counted from cycle 0, warmup included).
+type TraceSummary struct {
+	Start, End *Snapshot
+	Stats      cpu.Stats
+	VR         core.VRStats // zero unless rc.Tech is TechVR
+}
+
+// Trace assembles w under rc exactly as Run does, runs the workload's
+// initialization phase plus warmup more instructions, then steps the core
+// one cycle at a time for up to cycles cycles (fewer if the program
+// halts), handing emit the window's start state and a fresh Snapshot
+// after every every-th cycle. Snapshots read the machine through
+// side-effect-free probes, so the sampling rate never changes the run.
+func Trace(w *workloads.Workload, rc RunConfig, warmup, cycles, every uint64, emit func(start, now *Snapshot)) (TraceSummary, error) {
+	if every == 0 {
+		return TraceSummary{}, errors.New("harness: trace sampling interval must be positive")
+	}
+	in, err := newInstance(w, rc)
+	if err != nil {
+		return TraceSummary{}, fmt.Errorf("%s/%s: %w", w.Name, rc.Tech, err)
+	}
+	c := in.c
+	if err := c.RunChecked(w.SkipInstrs+warmup, rc.CPU.CheckInterval, in.runCheck()); err != nil {
+		return TraceSummary{}, fmt.Errorf("%s/%s: %w", w.Name, rc.Tech, err)
+	}
+	start := in.snapshot()
+	for c.Cycle() < start.Cycle+cycles && !c.Halted() {
+		c.Step()
+		if (c.Cycle()-start.Cycle)%every == 0 {
+			emit(start, in.snapshot())
+		}
+	}
+	if err := in.finalCheck(); err != nil {
+		return TraceSummary{}, fmt.Errorf("%s/%s: %w", w.Name, rc.Tech, err)
+	}
+	sum := TraceSummary{Start: start, End: in.snapshot(), Stats: c.Stats}
+	if in.vr != nil {
+		sum.VR = in.vr.Stats
+	}
+	return sum, nil
 }
 
 // ctxCheck returns the periodic interrupt check for the instance's

@@ -342,19 +342,13 @@ func TestWorkerCrashDegradesToErrCell(t *testing.T) {
 }
 
 // TestPoolRunFnSelection: the sweep swaps in the pool's run function
-// exactly when a pool is configured and faults are cell-scoped; the
-// campaign fault scope keeps the in-process path (its shared injector is
-// live state no wire format can carry).
+// when a pool is configured.
 func TestPoolRunFnSelection(t *testing.T) {
 	pool := newTestPool(t, PoolConfig{Workers: 1})
 	tab := &Table{ID: "SEL"}
 	opt := &Options{Pool: pool}
 	if s := opt.newSweep(tab); fmt.Sprintf("%p", s.runFn) != fmt.Sprintf("%p", pool.Run) {
 		t.Error("cell-scoped sweep with a pool must run through the pool")
-	}
-	copt := &Options{Pool: pool, FaultScope: FaultScopeCampaign}
-	if s := copt.newSweep(tab); fmt.Sprintf("%p", s.runFn) == fmt.Sprintf("%p", pool.Run) {
-		t.Error("campaign-scoped sweep must not route through the pool")
 	}
 }
 

@@ -53,6 +53,11 @@ type Snapshot struct {
 	MSHR, MSHRCap int
 
 	EngineMode string // "none", "vr:idle", "vr:runahead", "pre:...", "ra:..."
+
+	// WindowStall reports a load miss at the ROB head holding up a full
+	// window. String leaves it out: that rendering is pinned by ERR cells
+	// and journal records.
+	WindowStall bool
 }
 
 func (s *Snapshot) String() string {
@@ -62,7 +67,8 @@ func (s *Snapshot) String() string {
 		s.MSHR, s.MSHRCap, s.EngineMode)
 }
 
-// snapshot captures the instance's machine state.
+// snapshot captures the instance's machine state through read-only probes
+// only, so taking one never perturbs the run (Trace samples it per cycle).
 func (in *instance) snapshot() *Snapshot {
 	c := in.c
 	cfg := c.Config()
@@ -75,8 +81,11 @@ func (in *instance) snapshot() *Snapshot {
 		IQ: c.IQLen(), IQCap: cfg.IQSize,
 		LQ: c.LQOccupancy(), LQCap: cfg.LQSize,
 		SQ: c.SQOccupancy(), SQCap: cfg.SQSize,
-		MSHR:    in.hier.MSHR.InFlight(c.Cycle()),
+		MSHR:    in.hier.MSHR.InFlightAt(c.Cycle()),
 		MSHRCap: in.hier.MSHR.Capacity(),
+	}
+	if bl, ok := c.BlockedLoadAtHead(); ok {
+		s.WindowStall = bl.Full
 	}
 	engineMode := func(name string, active bool) string {
 		if active {

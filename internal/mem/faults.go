@@ -78,26 +78,18 @@ func (c FaultConfig) Validate() error {
 	return nil
 }
 
-// ForCell derives the cell-scoped variant of c for one sweep cell: the
-// same fault classes, rates and counts, but with Seed replaced by a value
-// mixed deterministically from (c.Seed, workload, tech, index). Every cell
-// of a sweep therefore owns an independent fault sequence that depends
-// only on the cell's identity — never on the order cells execute in — so
-// fault campaigns stay bit-reproducible under concurrency. Count-based
-// faults (PanicAfter, HangAfter) count per cell under this scoping; share
-// one injector across runs instead to keep campaign-global counts.
-func (c FaultConfig) ForCell(workload, tech string, index int) FaultConfig {
-	return c.ForCellAttempt(workload, tech, index, 0)
-}
-
-// ForCellAttempt is ForCell extended with a retry attempt number: attempt
-// 0 derives exactly ForCell's seed (so campaigns without retries are
-// bit-identical to those computed before attempts existed), and every
-// retry mixes the attempt into the hash, giving a re-run cell a fresh —
-// but still fully deterministic — fault sequence. A probabilistic fault
-// that sank attempt 0 therefore has an independent chance on attempt 1,
-// while count-based faults (PanicAfter, HangAfter) still fire regardless
-// of seed.
+// ForCellAttempt derives the cell-scoped variant of c for one attempt of
+// one sweep cell: the same fault classes, rates and counts, but with Seed
+// replaced by a value mixed deterministically from (c.Seed, workload,
+// tech, index) and, for retries, the attempt number. Every cell of a
+// sweep therefore owns an independent fault sequence that depends only on
+// the cell's identity — never on the order cells execute in — so fault
+// campaigns stay bit-reproducible under concurrency. Attempt 0 keeps the
+// seed derivation that predates retries, so campaigns without retries
+// keep their historical fault sequences; a re-run cell gets a fresh but
+// still fully deterministic sequence, giving a probabilistic fault that
+// sank attempt 0 an independent chance on attempt 1. Count-based faults
+// (PanicAfter, HangAfter) count per cell and fire regardless of seed.
 func (c FaultConfig) ForCellAttempt(workload, tech string, index, attempt int) FaultConfig {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s|%d", c.Seed, workload, tech, index)
@@ -130,10 +122,8 @@ type FaultStats struct {
 // leaving headroom before uint64 overflow.
 const hangLatency = 1 << 40
 
-// A FaultInjector delivers the faults a FaultConfig describes. One
-// injector may be private to a run (deterministic per run) or shared
-// across a whole experiment campaign, in which case the Nth-access faults
-// land in whichever cell reaches them first.
+// A FaultInjector delivers the faults a FaultConfig describes to one run,
+// deterministically for that run.
 type FaultInjector struct {
 	cfg FaultConfig
 	rng *rand.Rand

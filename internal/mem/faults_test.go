@@ -112,8 +112,8 @@ func TestForCellDeterministic(t *testing.T) {
 		PanicAfter:         5000,
 		HangAfter:          9000,
 	}
-	a := base.ForCell("camel", "vr", 3)
-	b := base.ForCell("camel", "vr", 3)
+	a := base.ForCellAttempt("camel", "vr", 3, 0)
+	b := base.ForCellAttempt("camel", "vr", 3, 0)
 	if a != b {
 		t.Errorf("same coordinates, different configs:\n%+v\n%+v", a, b)
 	}
@@ -122,7 +122,7 @@ func TestForCellDeterministic(t *testing.T) {
 	restored := a
 	restored.Seed = base.Seed
 	if restored != base {
-		t.Errorf("ForCell changed more than the seed:\n base %+v\n cell %+v", base, a)
+		t.Errorf("ForCellAttempt changed more than the seed:\n base %+v\n cell %+v", base, a)
 	}
 }
 
@@ -139,11 +139,11 @@ func TestForCellSeedsDistinct(t *testing.T) {
 		seeds[c.Seed] = label
 	}
 	for idx := 0; idx < 8; idx++ {
-		add(fmt.Sprintf("camel/vr#%d", idx), base.ForCell("camel", "vr", idx))
+		add(fmt.Sprintf("camel/vr#%d", idx), base.ForCellAttempt("camel", "vr", idx, 0))
 	}
-	add("camel/ooo#0", base.ForCell("camel", "ooo", 0))
-	add("hj2/vr#0", base.ForCell("hj2", "vr", 0))
+	add("camel/ooo#0", base.ForCellAttempt("camel", "ooo", 0, 0))
+	add("hj2/vr#0", base.ForCellAttempt("hj2", "vr", 0, 0))
 	base2 := base
 	base2.Seed = 2
-	add("seed2 camel/vr#0", base2.ForCell("camel", "vr", 0))
+	add("seed2 camel/vr#0", base2.ForCellAttempt("camel", "vr", 0, 0))
 }

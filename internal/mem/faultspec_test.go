@@ -75,10 +75,28 @@ func FuzzParseFaultSpec(f *testing.F) {
 func TestForCellAttemptSeeds(t *testing.T) {
 	base := FaultConfig{Seed: 7, LatencySpikeProb: 0.05, LatencySpikeCycles: 300}
 
-	// Attempt 0 must hash exactly as the legacy ForCell derivation:
-	// campaigns that never retry keep their historical fault sequences.
-	if got, want := base.ForCellAttempt("camel", "vr", 3, 0), base.ForCell("camel", "vr", 3); got != want {
-		t.Errorf("attempt 0 = %+v, want ForCell %+v", got, want)
+	// Attempt 0 must hash exactly as the pre-retry per-cell derivation
+	// did: campaigns that never retry keep their historical fault
+	// sequences. The literals were captured from that derivation.
+	for _, tc := range []struct {
+		wl, tech string
+		seed     int64
+		index    int
+		want     int64
+	}{
+		{"camel", "vr", 7, 3, 3896326605384372676},
+		{"camel", "vr", 7, 0, 2225270944887846823},
+		{"hj2", "ooo", 7, 0, 8879997287240031328},
+		{"kangaroo", "pre", 7, 11, 3732446033499828187},
+		{"camel", "vr", 1, 3, -6618035674169147331},
+		{"hj2", "ooo", 1, 0, -3942337561818666489},
+	} {
+		cfg := base
+		cfg.Seed = tc.seed
+		if got := cfg.ForCellAttempt(tc.wl, tc.tech, tc.index, 0).Seed; got != tc.want {
+			t.Errorf("seed %d %s/%s#%d attempt 0 = %d, want historical %d",
+				tc.seed, tc.wl, tc.tech, tc.index, got, tc.want)
+		}
 	}
 
 	// Distinct attempts, cells and campaigns must all derive distinct

@@ -203,7 +203,7 @@ func TestMSHRMergeAndStall(t *testing.T) {
 		t.Errorf("StallEvents = %d", m.StallEvents)
 	}
 	// After line 1 completes (cycle 200), entries expire.
-	if n := m.InFlight(300); n != 0 {
+	if n := m.InFlightAt(300); n != 0 {
 		// The third acquire was never Completed, so only expired entries count.
 		t.Errorf("in flight at 300 = %d", n)
 	}
