@@ -137,6 +137,7 @@ const (
 	maxQueueSize     = 1 << 20
 	maxFrontDepth    = 1 << 10
 	maxFUCount       = 1 << 10
+	maxLatency       = 1 << 20
 	maxCheckInterval = 1 << 30
 )
 
@@ -177,6 +178,14 @@ func (c Config) Validate() error {
 	for fu := isa.FUNone + 1; fu < isa.NumFUClasses; fu++ {
 		if err := bound(fmt.Sprintf("FUCount[%d]", fu), c.FUCount[fu], 1, maxFUCount); err != nil {
 			return err
+		}
+	}
+	// A result is ready at issue cycle + latency; an unbounded latency
+	// could wrap that sum into the past. Zero is legal: the result is
+	// ready in the issue cycle itself.
+	for fu, lat := range c.FULatency {
+		if lat > maxLatency {
+			return fmt.Errorf("%w: FULatency[%d] %d out of range [0,%d]", ErrBadConfig, fu, lat, maxLatency)
 		}
 	}
 	if c.NewPredictor == nil {

@@ -3,6 +3,8 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"vrsim/internal/branch"
 	"vrsim/internal/isa"
@@ -183,7 +185,50 @@ type robEntry struct {
 	srcSeq [4]uint64
 	srcReg [4]isa.Reg
 	nsrc   int
+
+	fu isa.FUClass // in.FU(), computed once at dispatch
+
+	// copies is how many issue-queue slots the unissued entry occupies
+	// (see iqOrder); issuedAt is the cycle it issued.
+	copies   int32
+	issuedAt uint64
+
+	// Wakeup state (see issue). An unissued issue-queue entry is in exactly
+	// one place: pending on unissued producers, on the timer wheel, or in
+	// the ready set. A store that issued without its value waits for it the
+	// same way, pending on its value producer or on the wheel.
+	pending int8   // unissued producers of the operands issue needs
+	linked  uint8  // bit k: source node k is on its producer's dependent list
+	wheel   uint8  // onNone, onBucket or onFar
+	wake    uint64 // cycle every awaited operand is available; the wheel key
+	// deps heads this entry's dependent list: the source nodes (consumer
+	// slot<<2 | source index) waiting for its result. dnext/dprev link this
+	// entry's own source nodes into their producers' lists; wnext/wprev
+	// link it into a wheel bucket or the far list.
+	deps         int32
+	dnext, dprev [4]int32
+	wnext, wprev int32
 }
+
+// iqOcc is one occupied issue-queue slot: the entry in ROB slot slot,
+// valid while that slot still holds sequence number seq.
+type iqOcc struct {
+	slot int32
+	seq  uint64
+}
+
+// Link sentinels and wheel membership of a robEntry.
+const (
+	noLink   = -1
+	onNone   = 0
+	onBucket = 1 // on wheel bucket wake&(wheelSize-1)
+	onFar    = 2 // on the far list: wake beyond the wheel's horizon
+)
+
+// wheelSize is the timer wheel's span in cycles. Wakes further out than
+// that (pathological memory latencies, the hang fault) wait on the far
+// list until they come within the span.
+const wheelSize = 1024
 
 // Core is one simulated out-of-order core bound to a program, a functional
 // backing store and a timing hierarchy.
@@ -238,31 +283,57 @@ type Core struct {
 	head  int
 	count int
 
-	// Scheduler state over ring slots. iq is a compact array in program
-	// order (capacity IQSize). stores is a ring in program order
-	// (capacity SQSize): commits pop the front, squashes drop the tail,
-	// so maintenance is O(1) while store-forwarding keeps its age order.
-	// ldIssued is an unordered set (capacity LQSize) with ldPos mapping
-	// each ROB slot to its position, for O(1) removal in any order —
-	// loads leave at commit in program order but entered in issue order,
-	// which is what made the old list scan quadratic under squash-heavy
-	// runs.
-	iq       []int
-	iqLen    int
-	stores   []int // power-of-two capacity >= SQSize
-	stHead   int
-	stLen    int
-	ldIssued []int
-	ldLen    int
-	ldPos    []int // ROB slot -> index in ldIssued, or noProducer
-	lqCount  int
-	sqCount  int
+	// Scheduler state over ring slots. The issue queue is not a list: each
+	// unissued entry waits in the wakeup structures below until its
+	// operands are available, and iqLen counts the occupied issue-queue
+	// slots (see iqOrder). stores is
+	// a ring in program order (capacity SQSize): commits pop the front,
+	// squashes drop the tail, so maintenance is O(1) while
+	// store-forwarding keeps its age order. ldIssued is an unordered set
+	// (capacity LQSize) with ldPos mapping each ROB slot to its position,
+	// for O(1) removal in any order — loads leave at commit in program
+	// order but entered in issue order, which is what made the old list
+	// scan quadratic under squash-heavy runs.
+	iqLen int
+	// iqOrder records issue-queue occupancy in the order a scan-based
+	// scheduler would hold it: one element per occupied IQ slot, appended
+	// at dispatch. Elements of entries that issued or died stay behind
+	// until the next compaction (on overflow) or squash (see
+	// replaySquashOccupancy); a live unissued entry may own several.
+	iqOrder    []iqOcc // capacity 2*IQSize
+	iqOrderLen int
+	stores     []int // power-of-two capacity >= SQSize
+	stHead     int
+	stLen      int
+	ldIssued   []int
+	ldLen      int
+	ldPos      []int // ROB slot -> index in ldIssued, or noProducer
+	lqCount    int
+	sqCount    int
 
 	// storeDropScans counts store retirements that missed the ring front.
 	// Stores retire in program order, so this stays zero by construction;
 	// the fallback scan keeps an impossible mismatch from corrupting the
 	// ring, and tests pin the counter to prove the O(1) claim.
 	storeDropScans uint64
+
+	// Wakeup/select (see issue). ready is a bitset over ROB slots of the
+	// entries select may issue. wheel holds, per bucket, the list of
+	// entries waking at the one cycle in (wheelAt, wheelAt+wheelSize]
+	// congruent to the bucket index; wheelMap marks the non-empty buckets.
+	// far lists wakes beyond that horizon, farMin bounds their earliest.
+	ready    []uint64
+	wheel    []int32 // wheelSize bucket heads
+	wheelMap []uint64
+	wheelAt  uint64 // last cycle the wheel was drained through
+	far      int32
+	farMin   uint64
+
+	// selectExamined counts ready entries select examined. Tests divide it
+	// by the issued count to pin the per-issue cost of the issue stage.
+	selectExamined uint64
+	// idleSkipped counts cycles fast-forwarded by skipIdle.
+	idleSkipped uint64
 
 	// Rename state: architectural register -> producing ROB slot.
 	renameRob [isa.NumRegs]int
@@ -308,10 +379,15 @@ func New(cfg Config, prog *isa.Program, data *mem.Backing, hier *mem.Hierarchy) 
 		pred:     cfg.predictor(),
 		rob:      make([]robEntry, cfg.ROBSize),
 		frontQ:   make([]fetchSlot, nextPow2(cfg.FetchBufSize)),
-		iq:       make([]int, cfg.IQSize),
 		stores:   make([]int, nextPow2(cfg.SQSize)),
 		ldIssued: make([]int, cfg.LQSize),
 		ldPos:    make([]int, cfg.ROBSize),
+		iqOrder:  make([]iqOcc, 2*cfg.IQSize),
+		ready:    make([]uint64, (cfg.ROBSize+63)/64),
+		wheel:    make([]int32, wheelSize),
+		wheelMap: make([]uint64, wheelSize/64),
+		far:      noLink,
+		farMin:   math.MaxUint64,
 	}
 	c.commitSeq = make([]uint64, cfg.ROBSize)
 	c.commitV = make([]uint64, cfg.ROBSize)
@@ -320,6 +396,9 @@ func New(cfg Config, prog *isa.Program, data *mem.Backing, hier *mem.Hierarchy) 
 	}
 	for i := range c.ldPos {
 		c.ldPos[i] = noProducer
+	}
+	for i := range c.wheel {
+		c.wheel[i] = noLink
 	}
 	return c
 }
@@ -606,19 +685,19 @@ func (c *Core) RunChecked(budget, every uint64, check func() error) error {
 // window ends — or 0 when idleness cannot be proven. The preconditions:
 //
 //   - the ROB head is an issued load whose data has not returned;
-//   - the issue queue is empty (with it, every in-flight instruction has
-//     executed) and every in-flight store has captured its value, so the
-//     issue stage's store polling cannot act;
-//   - fetch is quiescent: stopped at a Halt, or the front queue is full;
 //   - the attached engine proves its own inertness via EngineIdler (a
 //     detached engine is trivially inert);
+//   - fetch is quiescent: stopped at a Halt, or the front queue is full;
+//   - the ready set is empty, so select has nothing to examine until the
+//     next wake (every other waiting entry — and every store awaiting its
+//     value — is on the wheel or pending on an unissued producer);
 //   - dispatch either has nothing ready, or is pinned against a back-end
-//     resource that only commit could free.
+//     resource that only commit or issue could free.
 //
-// The window ends at the head load's return — or earlier, at the moment a
-// front-queue slot clears the front-end pipeline into a dispatch that
-// would accept it. skipIdle then replays exactly the per-cycle statistics
-// Step would have recorded across the window.
+// The window ends at the earliest of the head load's return, the wheel's
+// next wake, and the moment a front-queue slot clears the front-end
+// pipeline into a dispatch that would accept it. skipIdle then replays
+// exactly the per-cycle statistics Step would have recorded across it.
 func (c *Core) idleWindow() uint64 {
 	if c.count == 0 {
 		return 0
@@ -627,19 +706,16 @@ func (c *Core) idleWindow() uint64 {
 	if !h.in.IsLoad() || !h.issued || !h.done || h.readyCycle <= c.cycle {
 		return 0
 	}
-	if c.iqLen != 0 {
-		return 0
-	}
 	if c.engine != nil && (c.idler == nil || !c.idler.EngineIdle(c.cycle, h.readyCycle)) {
 		return 0
 	}
-	for i := 0; i < c.stLen; i++ {
-		if !c.rob[c.storeAt(i)].valReady {
-			return 0
-		}
-	}
 	if !c.fetchStopped && c.fqLen < c.cfg.FetchBufSize {
 		return 0
+	}
+	for _, w := range c.ready {
+		if w != 0 {
+			return 0
+		}
 	}
 	end := h.readyCycle
 	if q := c.frontQ; c.fqLen > 0 && len(q) > 0 {
@@ -648,6 +724,9 @@ func (c *Core) idleWindow() uint64 {
 			end = fs.readyAt
 		}
 	}
+	if w := c.nextWake(); w < end {
+		end = w
+	}
 	if end <= c.cycle {
 		return 0
 	}
@@ -655,11 +734,13 @@ func (c *Core) idleWindow() uint64 {
 }
 
 // dispatchWouldBlock reports whether dispatch would reject the
-// instruction for a full back-end resource. Only valid with an empty
-// issue queue (idleWindow's precondition), which rules out an IQ rejection.
+// instruction for a full back-end resource. Inside an idle window nothing
+// issues or commits, so a resource full now stays full across it.
 func (c *Core) dispatchWouldBlock(in *isa.Instr) bool {
 	switch {
 	case c.count == c.cfg.ROBSize:
+		return true
+	case in.Op != isa.Nop && !in.IsHalt() && c.iqLen == c.cfg.IQSize:
 		return true
 	case in.IsLoad() && c.lqCount == c.cfg.LQSize:
 		return true
@@ -703,6 +784,7 @@ func (c *Core) skipIdle(k uint64) {
 		}
 	}
 	c.dispatchBlocked = blocked
+	c.idleSkipped += k
 	c.cycle += k
 	//vrlint:allow cyclesafe -- statsBase is a snapshot of c.cycle taken in ResetStats, always <= c.cycle
 	c.Stats.Cycles = c.cycle - c.statsBase
@@ -862,30 +944,317 @@ func (c *Core) dropIssuedLoad(slot int) {
 }
 
 // ---- issue / execute ----
-
-// operand fetches the value of source k of entry e, reporting readiness.
 //
-//vrlint:allow inlinecost -- cost 82: two over budget from the index mask that keeps the src-array accesses bounds-check-free
-func (c *Core) operand(e *robEntry, k int) (uint64, bool) {
+// The issue stage is event-driven. Every register producer learns the
+// cycle its result is available (readyCycle) when it issues, so:
+//
+//   - a consumer dispatched behind unissued producers counts them
+//     (pending) and links one source node into each producer's
+//     dependent list;
+//   - an issuing producer walks its list; a consumer whose last pending
+//     producer issued wakes at the latest of its producers' readyCycles —
+//     into the ready set at once if that cycle has come (a zero-latency
+//     producer wakes its consumers within the same select pass), else
+//     onto the timer wheel;
+//   - at the start of every cycle the wheel's due entries enter the ready
+//     set;
+//   - select scans the ready set from the ROB head in ring order, which is
+//     program order, so it issues oldest-first under the same FU limits,
+//     width cutoff and squash stop as a scan over the whole issue queue
+//     would. Entries refused for other reasons (an FU limit, a load
+//     waiting on store-forwarding) stay in the ready set.
+//
+// A store issues once its address operands are available. If its value is
+// not, it waits for the value the same way and captures it when it wakes.
+
+// srcValue returns the value of source k of entry e. Select issues an
+// entry only once its operands are available, so no readiness test is
+// needed: a live producer's val already holds its result.
+func (c *Core) srcValue(e *robEntry, k int) uint64 {
 	k &= 3 // identity for k in 0..2; proves the src-array accesses in bounds
 	slot := e.srcRob[k]
 	if slot == noProducer {
-		return c.archRegs[e.srcReg[k]], true
+		return c.archRegs[e.srcReg[k]]
 	}
-	p := &c.rob[slot]
-	if p.seq == e.srcSeq[k] {
-		if p.done && p.readyCycle <= c.cycle {
-			return p.val, true
-		}
-		return 0, false
+	if p := &c.rob[slot]; p.seq == e.srcSeq[k] {
+		return p.val
 	}
 	// Producer already committed: its value was captured at retirement.
 	// (A recycled slot cannot have re-committed while this consumer is in
 	// flight, since the recycler is younger than the consumer.)
 	if c.commitSeq[slot] == e.srcSeq[k] {
-		return c.commitV[slot], true
+		return c.commitV[slot]
 	}
-	return c.archRegs[e.srcReg[k]], true
+	return c.archRegs[e.srcReg[k]]
+}
+
+// liveProducer returns the in-flight producer of source k of entry e, or
+// nil when the source reads committed state.
+func (c *Core) liveProducer(e *robEntry, k int) *robEntry {
+	k &= 3
+	slot := e.srcRob[k]
+	if slot == noProducer {
+		return nil
+	}
+	if p := &c.rob[slot]; p.seq == e.srcSeq[k] {
+		return p
+	}
+	return nil
+}
+
+// issueSources returns how many leading sources issue waits for: a store
+// issues on its address alone.
+func issueSources(e *robEntry) int {
+	if e.in.IsStore() {
+		return e.nsrc - 1
+	}
+	return e.nsrc
+}
+
+// link appends source node k of the entry in slot s to producer p's
+// dependent list.
+func (c *Core) link(p *robEntry, s, k int) {
+	e := &c.rob[s]
+	k &= 3
+	n := int32(s<<2 | k)
+	e.dprev[k] = noLink
+	e.dnext[k] = p.deps
+	if p.deps != noLink {
+		c.rob[p.deps>>2].dprev[p.deps&3] = n
+	}
+	p.deps = n
+	e.linked |= 1 << k
+}
+
+// unlinkSources takes every linked source node of e off its producer's
+// dependent list (squash).
+//
+//vrlint:allow inlinecost -- cost 87: squash-only, one doubly-linked unlink per linked source
+func (c *Core) unlinkSources(e *robEntry) {
+	for m := e.linked; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m) & 3
+		prev, next := e.dprev[k], e.dnext[k]
+		if prev == noLink {
+			c.rob[e.srcRob[k]].deps = next
+		} else {
+			c.rob[prev>>2].dnext[prev&3] = next
+		}
+		if next != noLink {
+			c.rob[next>>2].dprev[next&3] = prev
+		}
+	}
+	e.linked = 0
+}
+
+// wakeDependents runs when producer p issues: every consumer on its
+// dependent list learns p's readyCycle, and one whose last awaited
+// producer this was is scheduled.
+func (c *Core) wakeDependents(p *robEntry) {
+	r := p.readyCycle
+	for n := p.deps; n != noLink; {
+		s := int(n >> 2)
+		k := n & 3
+		e := &c.rob[s]
+		n = e.dnext[k]
+		e.linked &^= 1 << k
+		if e.issued {
+			// A store waiting for its value captures it at the start of a
+			// later cycle: not before the producer's result, and not in
+			// the cycle the producer issued.
+			w := r
+			if w <= c.cycle {
+				w = c.cycle + 1
+			}
+			c.schedule(s, e, w)
+			continue
+		}
+		if r > e.wake {
+			e.wake = r
+		}
+		e.pending--
+		if e.pending == 0 {
+			c.schedule(s, e, e.wake)
+		}
+	}
+	p.deps = noLink
+}
+
+// schedule makes the entry in slot s ready at cycle w: into the ready set
+// if w has come, else onto the wheel.
+func (c *Core) schedule(s int, e *robEntry, w uint64) {
+	if w <= c.cycle {
+		c.ready[s>>6] |= 1 << (s & 63)
+		return
+	}
+	c.enwheel(s, e, w)
+}
+
+// enwheel puts the entry in slot s on the wheel bucket for cycle w, or on
+// the far list when w is beyond the wheel's span.
+//
+//vrlint:allow inlinecost -- cost 120: one list push on either of two heads plus the map bit; schedule keeps the ready-now fast path inlinable
+func (c *Core) enwheel(s int, e *robEntry, w uint64) {
+	e.wake = w
+	if w-c.wheelAt > wheelSize {
+		e.wheel = onFar
+		c.pushWheel(&c.far, s, e)
+		if w < c.farMin {
+			c.farMin = w
+		}
+		return
+	}
+	b := w & (wheelSize - 1)
+	e.wheel = onBucket
+	c.pushWheel(&c.wheel[b], s, e)
+	c.wheelMap[b>>6] |= 1 << (b & 63)
+}
+
+// pushWheel pushes slot s onto the wheel list headed at *head.
+func (c *Core) pushWheel(head *int32, s int, e *robEntry) {
+	e.wprev = noLink
+	e.wnext = *head
+	if *head != noLink {
+		c.rob[*head].wprev = int32(s)
+	}
+	*head = int32(s)
+}
+
+// unwheel takes e off its wheel list.
+//
+//vrlint:allow inlinecost -- cost 86: squash and far-list refill only, one doubly-linked unlink
+func (c *Core) unwheel(e *robEntry) {
+	head := &c.far
+	b := e.wake & (wheelSize - 1)
+	if e.wheel == onBucket {
+		head = &c.wheel[b]
+	}
+	if e.wprev == noLink {
+		*head = e.wnext
+	} else {
+		c.rob[e.wprev].wnext = e.wnext
+	}
+	if e.wnext != noLink {
+		c.rob[e.wnext].wprev = e.wprev
+	}
+	if e.wheel == onBucket && *head == noLink {
+		c.wheelMap[b>>6] &^= 1 << (b & 63)
+	}
+	e.wheel = onNone
+}
+
+// drainWheel fires every wheel entry due by the current cycle: buckets
+// for the cycles since the last drain (more than one after an idle
+// fast-forward), then far-list entries that came within the wheel's span.
+func (c *Core) drainWheel() {
+	now := c.cycle
+	if now == c.wheelAt+1 {
+		if b := now & (wheelSize - 1); c.wheel[b] != noLink {
+			c.fireBucket(b)
+		}
+	} else if now > c.wheelAt {
+		// Each bucket holds the single cycle in (wheelAt, wheelAt+wheelSize]
+		// congruent to its index; fire the ones at or before now.
+		for i, word := range c.wheelMap {
+			for ; word != 0; word &= word - 1 {
+				b := uint64(i<<6 | bits.TrailingZeros64(word))
+				if at := c.wheelAt + 1 + (b-c.wheelAt-1)&(wheelSize-1); at <= now {
+					c.fireBucket(b)
+				}
+			}
+		}
+	}
+	c.wheelAt = now
+	if c.farMin <= now+wheelSize {
+		c.refillFromFar()
+	}
+}
+
+// fireBucket empties wheel bucket b: its entries are due now.
+//
+//vrlint:allow inlinecost -- cost 136: called only for a non-empty due bucket; the list walk is the work
+func (c *Core) fireBucket(b uint64) {
+	b &= wheelSize - 1
+	for s := c.wheel[b]; s != noLink; {
+		e := &c.rob[s]
+		next := e.wnext
+		e.wheel = onNone
+		c.fire(int(s), e)
+		s = next
+	}
+	c.wheel[b] = noLink
+	c.wheelMap[b>>6] &^= 1 << (b & 63)
+}
+
+// fire handles a due wake: a store that issued without its value
+// captures it now; any other entry becomes ready.
+func (c *Core) fire(s int, e *robEntry) {
+	if e.issued {
+		c.captureValue(e)
+		return
+	}
+	c.ready[s>>6] |= 1 << (s & 63)
+}
+
+// captureValue completes a store that issued without its value.
+//
+//vrlint:allow inlinecost -- cost 89: once per store that issued ahead of its value; inlining srcValue is most of it
+func (c *Core) captureValue(e *robEntry) {
+	e.val = c.srcValue(e, e.nsrc-1)
+	e.valReady = true
+	e.done = true
+	e.readyCycle = c.cycle
+}
+
+// refillFromFar moves far-list entries that came within the wheel's span
+// onto it (or fires them if due) and recomputes farMin.
+func (c *Core) refillFromFar() {
+	c.farMin = math.MaxUint64
+	for s := c.far; s != noLink; {
+		e := &c.rob[s]
+		next := e.wnext
+		if e.wake <= c.wheelAt+wheelSize {
+			c.unwheel(e)
+			if e.wake <= c.cycle {
+				c.fire(int(s), e)
+			} else {
+				c.schedule(int(s), e, e.wake)
+			}
+		} else if e.wake < c.farMin {
+			c.farMin = e.wake
+		}
+		s = next
+	}
+}
+
+// nextWake returns the earliest cycle anything on the wheel or the far
+// list wakes, or math.MaxUint64 when both are empty.
+func (c *Core) nextWake() uint64 {
+	next := c.farMin
+	for i, word := range c.wheelMap {
+		for ; word != 0; word &= word - 1 {
+			b := uint64(i<<6 | bits.TrailingZeros64(word))
+			if at := c.wheelAt + 1 + (b-c.wheelAt-1)&(wheelSize-1); at < next {
+				next = at
+			}
+		}
+	}
+	return next
+}
+
+// unschedule removes a squashed entry from the wakeup structures.
+//
+//vrlint:allow inlinecost -- cost 157: squash-only, once per squashed entry; each structure's removal is the work
+func (c *Core) unschedule(s int, e *robEntry) {
+	if !e.issued && e.fu != isa.FUNone {
+		c.iqLen -= int(e.copies)
+	}
+	c.ready[s>>6] &^= 1 << (s & 63)
+	if e.wheel != onNone {
+		c.unwheel(e)
+	}
+	if e.linked != 0 {
+		c.unlinkSources(e)
+	}
 }
 
 func (c *Core) issue() {
@@ -893,83 +1262,88 @@ func (c *Core) issue() {
 		c.fuUsed[i] = 0
 	}
 	c.issuedThisCycle = 0
-
-	// Stores that issued without their value poll for it.
-	for i := 0; i < c.stLen; i++ {
-		e := &c.rob[c.storeAt(i)]
-		if e.issued && !e.valReady {
-			if v, ok := c.operand(e, e.nsrc-1); ok {
-				e.val = v
-				e.valReady = true
-				e.done = true
-				e.readyCycle = c.cycle
-			}
-		}
+	c.drainWheel()
+	// Select oldest-first: ring order from the head is program order.
+	if c.selectRange(c.head, c.cfg.ROBSize) {
+		c.selectRange(0, c.head)
 	}
+}
 
-	// Select from the issue queue in program order. The local reslice and
-	// clamp (dead by the iqLen <= len(iq) invariant) let the compiler
-	// drop the per-iteration bounds checks.
-	iq := c.iq
-	n := c.iqLen
-	if n > len(iq) {
-		n = len(iq)
-	}
-	w := 0
+// selectRange issues ready entries in slots [lo, hi) in slot order. It
+// returns false when select must stop for this cycle: the width is used
+// up, or an issue squashed younger instructions. Each step re-reads the
+// bitset word, so an entry woken by a zero-latency producer issued
+// earlier in the pass is still seen.
+func (c *Core) selectRange(lo, hi int) bool {
 	epoch := c.squashEpoch
-	for r := 0; r < n; r++ {
-		slot := iq[r]
-		e := &c.rob[slot]
-		if e.issued {
-			continue // stale after a mid-cycle squash rebuild
+	ready := c.ready
+	for pos := lo; pos < hi; pos++ {
+		wi := pos >> 6
+		if wi >= len(ready) {
+			break
 		}
-		if c.issuedThisCycle >= c.cfg.Width {
-			iq[w] = slot
-			w++
+		word := ready[wi] >> (pos & 63)
+		if word == 0 {
+			pos |= 63 // the loop increment moves to the next word
 			continue
 		}
-		fu := e.in.FU()
-		if c.fuUsed[fu] >= c.cfg.FUCount[fu] || !c.tryIssue(slot, e) {
-			iq[w] = slot
-			w++
+		pos += bits.TrailingZeros64(word)
+		if pos >= hi {
+			break
+		}
+		c.selectExamined++
+		e := &c.rob[pos]
+		fu := e.fu
+		if c.fuUsed[fu] >= c.cfg.FUCount[fu] || !c.tryIssue(pos, e) {
 			continue
 		}
+		ready[wi] &^= 1 << (pos & 63)
+		c.iqLen -= int(e.copies)
+		e.issuedAt = c.cycle
 		c.fuUsed[fu]++
 		c.Stats.FUIssued[fu]++
 		c.issuedThisCycle++
+		if e.deps != noLink {
+			c.wakeDependents(e)
+		}
 		if c.squashEpoch != epoch {
-			// tryIssue squashed younger instructions and rebuilt c.iq;
-			// the iteration state is stale — stop for this cycle.
-			return
+			c.replaySquashOccupancy(pos)
+			return false
+		}
+		if c.issuedThisCycle >= c.cfg.Width {
+			return false
 		}
 	}
-	c.iqLen = w
+	return true
 }
 
-// tryIssue attempts to issue the entry; it returns true if the entry
-// consumed an issue slot. It may squash younger instructions (branch
-// mispredict, memory-ordering violation), invalidating c.iq — the caller
-// detects that via the squash epoch.
+// tryIssue attempts to issue an entry whose issue operands are available;
+// it returns true if the entry consumed an issue slot. Only a load can
+// refuse (store-forwarding from a store whose value is not ready yet). It
+// may squash younger instructions (branch mispredict, memory-ordering
+// violation) — the caller detects that via the squash epoch.
 func (c *Core) tryIssue(slot int, e *robEntry) bool {
 	switch {
 	case e.in.IsStore():
 		// Address sources are every source but the value (last).
 		var vals [2]uint64
 		for k := 0; k < e.nsrc-1; k++ {
-			v, ok := c.operand(e, k)
-			if !ok {
-				return false
-			}
-			vals[k&1] = v // identity: address sources number at most 2
+			vals[k&1] = c.srcValue(e, k) // identity: address sources number at most 2
 		}
 		e.addr = isa.EffAddr(e.in, vals[0], vals[1])
 		e.addrReady = true
 		e.issued = true
-		if v, ok := c.operand(e, e.nsrc-1); ok {
-			e.val = v
+		k := e.nsrc - 1
+		switch p := c.liveProducer(e, k); {
+		case p == nil || p.issued && p.readyCycle <= c.cycle:
+			e.val = c.srcValue(e, k)
 			e.valReady = true
 			e.done = true
 			e.readyCycle = c.cycle + c.cfg.FULatency[isa.FUMem]
+		case p.issued:
+			c.schedule(slot, e, p.readyCycle)
+		default:
+			c.link(p, slot, k)
 		}
 		c.checkOrderViolation(e)
 		return true
@@ -977,11 +1351,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 	case e.in.IsLoad():
 		var vals [2]uint64
 		for k := 0; k < e.nsrc; k++ {
-			v, ok := c.operand(e, k)
-			if !ok {
-				return false
-			}
-			vals[k&1] = v // identity: these opcode classes read at most 2 regs
+			vals[k&1] = c.srcValue(e, k) // identity: these opcode classes read at most 2 regs
 		}
 		addr := isa.EffAddr(e.in, vals[0], vals[1])
 		fwd, fwdVal, ready := c.forward(e.seq, addr)
@@ -1011,13 +1381,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 	case e.in.IsBranch():
 		var a, b uint64
 		if e.in.IsCondBranch() {
-			var ok bool
-			if a, ok = c.operand(e, 0); !ok {
-				return false
-			}
-			if b, ok = c.operand(e, 1); !ok {
-				return false
-			}
+			a, b = c.srcValue(e, 0), c.srcValue(e, 1)
 		}
 		e.issued = true
 		e.done = true
@@ -1043,16 +1407,12 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 	default:
 		var vals [2]uint64
 		for k := 0; k < e.nsrc; k++ {
-			v, ok := c.operand(e, k)
-			if !ok {
-				return false
-			}
-			vals[k&1] = v // identity: these opcode classes read at most 2 regs
+			vals[k&1] = c.srcValue(e, k) // identity: these opcode classes read at most 2 regs
 		}
 		e.issued = true
 		e.val = isa.ALUResult(e.in, vals[0], vals[1])
 		e.done = true
-		e.readyCycle = c.cycle + c.cfg.FULatency[e.in.FU()]
+		e.readyCycle = c.cycle + c.cfg.FULatency[e.fu]
 		return true
 	}
 }
@@ -1107,13 +1467,15 @@ func (c *Core) checkOrderViolation(st *robEntry) {
 	c.squashFrom(c.ordinal(victim), e.pc)
 }
 
-// squashFrom drops every ROB entry at ordinal >= i, rebuilds the scheduler
-// lists and rename table, and redirects fetch to pc.
+// squashFrom drops every ROB entry at ordinal >= i, takes it off the
+// scheduler structures, rebuilds the rename table, and redirects fetch to
+// pc.
 func (c *Core) squashFrom(i int, pc int) {
 	c.squashEpoch++
 	if i < c.count {
 		for j := i; j < c.count; j++ {
-			ent := &c.rob[c.slot(j)]
+			s := c.slot(j)
+			ent := &c.rob[s]
 			c.Stats.Squashed++
 			if ent.in.IsLoad() {
 				c.lqCount--
@@ -1121,27 +1483,10 @@ func (c *Core) squashFrom(i int, pc int) {
 			if ent.in.IsStore() {
 				c.sqCount--
 			}
+			c.unschedule(s, ent)
 		}
 		c.count = i
 	}
-
-	// Rebuild the issue queue, keeping surviving slots that have not yet
-	// issued (the squashing branch itself is live but no longer
-	// schedulable). Reslice + clamp as in issue(): bounds checks vanish.
-	iq := c.iq
-	n := c.iqLen
-	if n > len(iq) {
-		n = len(iq)
-	}
-	w := 0
-	for r := 0; r < n; r++ {
-		s := iq[r]
-		if c.ordinal(s) < c.count && !c.rob[s].issued {
-			iq[w] = s
-			w++
-		}
-	}
-	c.iqLen = w
 
 	// The store ring is in program order, so the squashed stores are
 	// exactly its tail.
@@ -1154,11 +1499,11 @@ func (c *Core) squashFrom(i int, pc int) {
 
 	// Compact the issued-load set, keeping the position index coherent.
 	ld := c.ldIssued
-	n = c.ldLen
+	n := c.ldLen
 	if n > len(ld) {
 		n = len(ld)
 	}
-	w = 0
+	w := 0
 	for r := 0; r < n; r++ {
 		s := ld[r]
 		if c.ordinal(s) < c.count {
@@ -1234,7 +1579,7 @@ func (c *Core) dispatch() {
 		c.count++
 		c.nextSeq++
 		e := &c.rob[idx]
-		*e = robEntry{seq: c.nextSeq, pc: fs.pc, in: fs.in, predTaken: fs.predTaken, hist: fs.hist}
+		*e = robEntry{seq: c.nextSeq, pc: fs.pc, in: fs.in, predTaken: fs.predTaken, hist: fs.hist, deps: noLink}
 
 		var srcs [3]isa.Reg
 		srcList := fs.in.Sources(srcs[:0])
@@ -1251,6 +1596,7 @@ func (c *Core) dispatch() {
 			}
 		}
 		e.nsrc = len(srcList)
+		e.fu = fs.in.FU()
 
 		if fs.in.WritesDst() {
 			c.renameRob[fs.in.Dst] = idx
@@ -1261,8 +1607,8 @@ func (c *Core) dispatch() {
 			e.done = true
 			e.readyCycle = c.cycle
 		default:
-			c.iq[c.iqLen] = idx
-			c.iqLen++
+			c.occupyIQ(idx, e)
+			c.await(idx, e)
 			if fs.in.IsLoad() {
 				c.lqCount++
 			}
@@ -1274,6 +1620,125 @@ func (c *Core) dispatch() {
 				c.stLen++
 			}
 		}
+	}
+}
+
+// ---- issue-queue occupancy ----
+//
+// Issue-queue capacity (dispatch's IQ-full check) is accounted exactly as
+// the scan-based scheduler this model replaced accounted it, which the
+// committed timing references pin. That scheduler kept an array of IQ
+// slots in program order and compacted it in place as it issued. When an
+// issue squashed younger instructions mid-scan, it rebuilt the array from
+// its partly compacted state: kept entries had already been copied down,
+// and their originals further up were kept a second time. Such duplicates
+// occupy capacity until their entry issues or is squashed. iqOrder replays
+// that array — only at squashes, and when it overflows — so every entry's
+// copies count, and with it iqLen, matches.
+
+// occupyIQ gives a newly dispatched entry its issue-queue slot.
+//
+//vrlint:allow inlinecost -- cost 115: once per dispatched instruction; the dead capacity guard keeps the append bounds-check-free
+func (c *Core) occupyIQ(s int, e *robEntry) {
+	if c.iqOrderLen == len(c.iqOrder) {
+		c.compactIQOrder()
+	}
+	if c.iqOrderLen < len(c.iqOrder) {
+		c.iqOrder[c.iqOrderLen] = iqOcc{slot: int32(s), seq: e.seq}
+		c.iqOrderLen++
+	}
+	e.copies = 1
+	c.iqLen++
+}
+
+// occupies reports whether o is a slot of an entry still waiting to issue.
+func (c *Core) occupies(o iqOcc) bool {
+	e := &c.rob[o.slot]
+	return e.seq == o.seq && !e.issued && c.ordinal(int(o.slot)) < c.count
+}
+
+// compactIQOrder drops the elements of entries that issued or died. It
+// runs between select passes, when that is every element the scan-based
+// scheduler had already dropped; at most iqLen < IQSize survive.
+func (c *Core) compactIQOrder() {
+	w := 0
+	for _, o := range c.iqOrder[:c.iqOrderLen] {
+		if c.occupies(o) {
+			c.iqOrder[w] = o
+			w++
+		}
+	}
+	c.iqOrderLen = w
+}
+
+// replaySquashOccupancy replays the scan-based scheduler's rebuild after
+// the entry in slot squasher issued and squashed younger instructions.
+// That scheduler's array at the start of this pass held the elements of
+// every entry alive then and not issued in an earlier cycle. Its scan had
+// copied the entries it kept (those still unissued) from the part before
+// the squasher down to the front, w of them; the rebuild kept the front,
+// then the unissued entries of the untouched originals from w up to the
+// squasher — each such entry gains a copy — then the unissued survivors
+// after the squasher.
+func (c *Core) replaySquashOccupancy(squasher int) {
+	ord := c.iqOrder[:c.iqOrderLen]
+	// The array as it stood at the start of the pass.
+	n := 0
+	for _, o := range ord {
+		e := &c.rob[o.slot]
+		if e.seq == o.seq && c.ordinal(int(o.slot)) < c.count && (!e.issued || e.issuedAt == c.cycle) {
+			ord[n] = o
+			n++
+		}
+	}
+	ord = ord[:n]
+	sq := c.rob[squasher].seq
+	r := 0
+	for r < n && (int(ord[r].slot) != squasher || ord[r].seq != sq) {
+		r++
+	}
+	w := 0
+	for _, o := range ord[:r] {
+		if !c.rob[o.slot].issued {
+			ord[w] = o
+			w++
+		}
+	}
+	out := w
+	for _, o := range ord[w:r] {
+		if e := &c.rob[o.slot]; !e.issued {
+			e.copies++
+			c.iqLen++
+			ord[out] = o
+			out++
+		}
+	}
+	for _, o := range ord[min(r+1, n):] {
+		if c.occupies(o) {
+			ord[out] = o
+			out++
+		}
+	}
+	c.iqOrderLen = out
+}
+
+// await enters a newly dispatched entry into the wakeup structures:
+// pending on each unissued producer of an issue operand, else scheduled
+// for the cycle the last of its operands is available.
+func (c *Core) await(s int, e *robEntry) {
+	for k := 0; k < issueSources(e); k++ {
+		p := c.liveProducer(e, k)
+		switch {
+		case p == nil:
+		case !p.issued:
+			c.link(p, s, k)
+			e.pending++
+		case p.readyCycle > e.wake:
+			e.wake = p.readyCycle
+		}
+	}
+	if e.pending == 0 {
+		c.schedule(s, e, e.wake)
 	}
 }
 

@@ -1,6 +1,11 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"vrsim/internal/isa"
+)
 
 // CheckInvariants validates the core's structural invariants: reorder
 // buffer geometry, scheduler-list liveness, load/store queue accounting
@@ -66,13 +71,12 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("store queue count %d, but ROB holds %d stores", c.sqCount, stores)
 	}
 
+	if err := c.checkWakeup(); err != nil {
+		return err
+	}
+
 	// Scheduler lists may only reference live window slots, and the typed
 	// lists must reference instructions of their type.
-	for _, s := range c.iq[:c.iqLen] {
-		if c.ordinal(s) >= c.count {
-			return fmt.Errorf("issue queue references dead ROB slot %d", s)
-		}
-	}
 	prevOrd := -1
 	for i := 0; i < c.stLen; i++ {
 		s := c.storeAt(i)
@@ -101,6 +105,169 @@ func (c *Core) CheckInvariants() error {
 		if c.ldPos[s] != i {
 			return fmt.Errorf("issued-load position index stale: slot %d at index %d, ldPos says %d", s, i, c.ldPos[s])
 		}
+	}
+	return nil
+}
+
+// checkWakeup validates the wakeup structures against the window: every
+// unissued issue-queue entry (and every issued store still awaiting its
+// value) waits in exactly one place — the ready set, the wheel, or pending
+// on unissued producers whose dependent lists hold its source nodes — and
+// no ready bit, wheel link or dependent link points at a dead slot.
+func (c *Core) checkWakeup() error {
+	for wi, word := range c.ready {
+		for ; word != 0; word &= word - 1 {
+			s := wi<<6 | bits.TrailingZeros64(word)
+			if s >= c.cfg.ROBSize || c.ordinal(s) >= c.count {
+				return fmt.Errorf("ready set references dead ROB slot %d", s)
+			}
+		}
+	}
+	onWheel := 0
+	walk := func(what string, head int32, bucket int) error {
+		for s, n := head, 0; s != noLink; s, n = c.rob[s].wnext, n+1 {
+			if s < 0 || int(s) >= c.cfg.ROBSize || c.ordinal(int(s)) >= c.count {
+				return fmt.Errorf("%s references dead ROB slot %d", what, s)
+			}
+			e := &c.rob[s]
+			switch {
+			case n >= c.count:
+				return fmt.Errorf("%s is cyclic", what)
+			case bucket >= 0 && (e.wheel != onBucket || int(e.wake&(wheelSize-1)) != bucket):
+				return fmt.Errorf("%s holds slot %d (wheel state %d, wake %d)", what, s, e.wheel, e.wake)
+			case bucket < 0 && e.wheel != onFar:
+				return fmt.Errorf("%s holds slot %d in wheel state %d", what, s, e.wheel)
+			case e.wake <= c.wheelAt:
+				return fmt.Errorf("%s holds slot %d with overdue wake %d", what, s, e.wake)
+			case bucket >= 0 && e.wake > c.wheelAt+wheelSize:
+				return fmt.Errorf("%s holds slot %d with wake %d beyond the wheel's span", what, s, e.wake)
+			case bucket < 0 && e.wake < c.farMin:
+				return fmt.Errorf("%s holds slot %d waking at %d, before farMin %d", what, s, e.wake, c.farMin)
+			}
+			onWheel++
+		}
+		return nil
+	}
+	for b, head := range c.wheel {
+		if (head != noLink) != (c.wheelMap[b>>6]&(1<<(b&63)) != 0) {
+			return fmt.Errorf("wheel map disagrees with bucket %d", b)
+		}
+		if err := walk(fmt.Sprintf("wheel bucket %d", b), head, b); err != nil {
+			return err
+		}
+	}
+	if err := walk("far list", c.far, -1); err != nil {
+		return err
+	}
+
+	occupied, wheeled := 0, 0
+	for i := 0; i < c.count; i++ {
+		s := c.slot(i)
+		e := &c.rob[s]
+		ready := c.ready[s>>6]&(1<<(s&63)) != 0
+		if e.wheel != onNone {
+			wheeled++
+		}
+		if err := c.checkDeps(s, e); err != nil {
+			return err
+		}
+		waiting := !e.issued && e.fu != isa.FUNone
+		if waiting {
+			if e.copies < 1 {
+				return fmt.Errorf("unissued slot %d occupies %d issue-queue slots", s, e.copies)
+			}
+			occupied += int(e.copies)
+		}
+		valueWait := e.issued && e.in.IsStore() && !e.valReady
+		if !waiting && !valueWait {
+			if ready || e.wheel != onNone || e.linked != 0 || e.pending != 0 {
+				return fmt.Errorf("slot %d (op=%s issued=%v) still in the wakeup structures", s, e.in.Op, e.issued)
+			}
+			continue
+		}
+		// Recount the unissued producers the entry waits on.
+		pending, linked := 0, uint8(0)
+		from, to := 0, issueSources(e)
+		if valueWait {
+			from, to = e.nsrc-1, e.nsrc
+		}
+		for k := from; k < to; k++ {
+			p := c.liveProducer(e, k)
+			switch {
+			case p == nil:
+			case !p.issued:
+				pending++
+				linked |= 1 << k
+			case e.wheel != onNone && p.readyCycle > e.wake:
+				return fmt.Errorf("slot %d wakes at %d, before its producer's result at %d", s, e.wake, p.readyCycle)
+			case ready && p.readyCycle >= c.cycle:
+				return fmt.Errorf("slot %d is ready, but its producer's result arrives at %d", s, p.readyCycle)
+			}
+		}
+		if waiting && int(e.pending) != pending {
+			return fmt.Errorf("slot %d pending count %d, but it waits on %d unissued producers", s, e.pending, pending)
+		}
+		if e.linked != linked {
+			return fmt.Errorf("slot %d source links %04b, want %04b", s, e.linked, linked)
+		}
+		places := 0
+		if ready {
+			places++
+		}
+		if e.wheel != onNone {
+			places++
+		}
+		if pending > 0 {
+			places++
+		}
+		if places != 1 || valueWait && ready {
+			return fmt.Errorf("slot %d waits in %d places (ready=%v wheel=%d pending=%d)", s, places, ready, e.wheel, pending)
+		}
+	}
+	if occupied != c.iqLen {
+		return fmt.Errorf("issue queue count %d, but the window's unissued entries occupy %d", c.iqLen, occupied)
+	}
+	if c.iqOrderLen < 0 || c.iqOrderLen > len(c.iqOrder) {
+		return fmt.Errorf("issue-queue order holds %d elements, capacity %d", c.iqOrderLen, len(c.iqOrder))
+	}
+	listed := 0
+	for _, o := range c.iqOrder[:c.iqOrderLen] {
+		if o.slot < 0 || int(o.slot) >= c.cfg.ROBSize {
+			return fmt.Errorf("issue-queue order references ROB slot %d", o.slot)
+		}
+		if c.occupies(o) {
+			listed++
+		}
+	}
+	if listed != c.iqLen {
+		return fmt.Errorf("issue queue count %d, but its order lists %d occupied slots", c.iqLen, listed)
+	}
+	if wheeled != onWheel {
+		return fmt.Errorf("%d entries marked on the wheel, %d linked there", wheeled, onWheel)
+	}
+	return nil
+}
+
+// checkDeps validates producer e's dependent list: only an unissued
+// producer has one, and every node on it names a live consumer source
+// that reads e and is marked linked.
+func (c *Core) checkDeps(s int, e *robEntry) error {
+	if e.deps != noLink && e.issued {
+		return fmt.Errorf("issued slot %d still has dependents", s)
+	}
+	for n, i := e.deps, 0; n != noLink; i++ {
+		cs, k := int(n>>2), int(n&3)
+		if n < 0 || cs >= c.cfg.ROBSize || c.ordinal(cs) >= c.count {
+			return fmt.Errorf("dependent list of slot %d references dead ROB slot %d", s, cs)
+		}
+		if i >= 4*c.count {
+			return fmt.Errorf("dependent list of slot %d is cyclic", s)
+		}
+		d := &c.rob[cs]
+		if d.srcRob[k] != s || d.srcSeq[k] != e.seq || d.linked&(1<<k) == 0 {
+			return fmt.Errorf("dependent list of slot %d holds a stale node (slot %d source %d)", s, cs, k)
+		}
+		n = d.dnext[k]
 	}
 	return nil
 }

@@ -69,9 +69,36 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"sq-count", func(c *Core) { c.sqCount-- }, "store queue count"},
 		{"seq-order", func(c *Core) { c.rob[c.slot(1)].seq = c.rob[c.head].seq }, "ROB order broken"},
 		{"dead-slot", func(c *Core) {
-			c.iq = append(c.iq[:c.iqLen:c.iqLen], c.slot(c.count))
-			c.iqLen++
+			s := c.slot(c.count)
+			c.ready[s>>6] |= 1 << (s & 63)
 		}, "dead ROB slot"},
+		{"ready-and-pending", func(c *Core) {
+			s := findSlot(c, func(e *robEntry) bool { return e.pending > 0 })
+			c.ready[s>>6] |= 1 << (s & 63)
+		}, "waits in 2 places"},
+		{"lost-wakeup", func(c *Core) {
+			s := findSlot(c, func(e *robEntry) bool { return e.pending > 0 })
+			c.unlinkSources(&c.rob[s])
+		}, "source links"},
+		{"pending-count", func(c *Core) {
+			c.rob[findSlot(c, func(e *robEntry) bool { return e.pending > 0 })].pending++
+		}, "pending count"},
+		{"wheel-dead-slot", func(c *Core) {
+			s := c.slot(c.count)
+			e := &c.rob[s]
+			e.wake = c.cycle + 5
+			e.wheel = onBucket
+			b := e.wake & (wheelSize - 1)
+			c.pushWheel(&c.wheel[b], s, e)
+			c.wheelMap[b>>6] |= 1 << (b & 63)
+		}, "dead ROB slot"},
+		{"dep-dead-slot", func(c *Core) {
+			p := &c.rob[findSlot(c, func(e *robEntry) bool { return e.deps != noLink })]
+			dead := c.slot(c.count)
+			c.rob[dead].dnext[0] = noLink
+			p.deps = int32(dead << 2)
+		}, "dead ROB slot"},
+		{"iq-order", func(c *Core) { c.iqOrderLen = 0 }, "order lists"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -90,6 +117,18 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// findSlot returns the ROB slot of the oldest live entry matching f (the
+// head when none does, which leaves the corruption undetected and fails
+// the case).
+func findSlot(c *Core, f func(e *robEntry) bool) int {
+	for i := 0; i < c.count; i++ {
+		if s := c.slot(i); f(&c.rob[s]) {
+			return s
+		}
+	}
+	return c.head
 }
 
 // TestCheckIntervalValidation: the RunChecked cadence is a validated

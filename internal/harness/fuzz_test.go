@@ -134,12 +134,14 @@ func runEngineFuzz(t *testing.T, p *isa.Program, init map[uint64]uint64, watch [
 // escape as a panic. Invalid configurations must be rejected by Validate
 // as typed setup errors; validated ones must run (or fail) cleanly.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(5, 350, 128, 128, 72, 15, 32, 24, 32<<10, 8, 64, 8)
-	f.Add(1, 1, 1, 1, 1, 1, 1, 1, 64, 1, 1, 1)
-	f.Add(0, -3, 12, 0, 99, 2, 4, 0, 3*64, 3, 0, -5)
-	f.Add(65, 1<<21, -1, 7, 7, 2000, 9, 1<<17, 1<<20, 1<<11, 1<<13, 2)
-	f.Fuzz(func(t *testing.T, width, rob, iq, lq, sq, depth, fbuf, mshrs, l1size, l1ways, vl, lanes int) {
+	f.Add(5, 350, 128, 128, 72, 15, 32, 24, 32<<10, 8, 64, 8, uint64(1), uint64(1))
+	f.Add(1, 1, 1, 1, 1, 1, 1, 1, 64, 1, 1, 1, uint64(0), uint64(0))
+	f.Add(0, -3, 12, 0, 99, 2, 4, 0, 3*64, 3, 0, -5, uint64(1<<20), uint64(1<<20+1))
+	f.Add(65, 1<<21, -1, 7, 7, 2000, 9, 1<<17, 1<<20, 1<<11, 1<<13, 2, uint64(1<<63), uint64(7))
+	f.Fuzz(func(t *testing.T, width, rob, iq, lq, sq, depth, fbuf, mshrs, l1size, l1ways, vl, lanes int, aluLat, memLat uint64) {
 		rc := DefaultRunConfig(TechVR)
+		rc.CPU.FULatency[isa.FUIntALU] = aluLat
+		rc.CPU.FULatency[isa.FUMem] = memLat
 		rc.CPU.Width = width
 		rc.CPU.ROBSize = rob
 		rc.CPU.IQSize = iq

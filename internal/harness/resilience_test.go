@@ -44,15 +44,18 @@ func TestCellTimeoutExpiredContext(t *testing.T) {
 	}
 }
 
-// TestCellTimeoutCatchesLivelock: a hang-fault cell with the watchdog
-// effectively disabled — the slow-livelock case per-run supervision cannot
-// see — must still be evicted by the wall-clock deadline.
+// TestCellTimeoutCatchesLivelock: a hang-fault cell with the watchdog and
+// the cycle cap disabled — the livelock case per-run supervision cannot
+// see — must still be evicted by the wall-clock deadline. (The stalled
+// core fast-forwards its idle cycles, so with the default cap it would
+// reach the cycle limit before the deadline.)
 func TestCellTimeoutCatchesLivelock(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	rc := DefaultRunConfig(TechOoO)
 	rc.MaxBudget = 10_000_000
 	rc.WatchdogCycles = 1 << 62 // never trips: the deadline must do the work
+	rc.CPU.MaxCycles = 0        // no cycle cap either
 	rc.Faults = mem.FaultConfig{Seed: 1, HangAfter: 1}
 	start := time.Now()
 	_, err := RunSupervisedContext(ctx, workloads.MicroStream(4096), rc)

@@ -2,12 +2,14 @@ package harness
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"vrsim/internal/core"
 	"vrsim/internal/cpu"
+	"vrsim/internal/isa"
 	"vrsim/internal/mem"
 	"vrsim/internal/workloads"
 )
@@ -29,6 +31,7 @@ func TestRunSupervisedSetupRejection(t *testing.T) {
 	}{
 		{"cpu", func(rc *RunConfig) { rc.CPU.ROBSize = 0 }, cpu.ErrBadConfig},
 		{"cpu-fu", func(rc *RunConfig) { rc.CPU.FUCount[1] = 0 }, cpu.ErrBadConfig},
+		{"cpu-latency", func(rc *RunConfig) { rc.CPU.FULatency[isa.FUIntALU] = math.MaxUint64 - 2 }, cpu.ErrBadConfig},
 		{"mem", func(rc *RunConfig) { rc.Mem.L1SizeBytes = 3 * 64 }, mem.ErrBadConfig},
 		{"core", func(rc *RunConfig) { rc.VR.VectorLength = 0 }, core.ErrBadConfig},
 		{"faults", func(rc *RunConfig) { rc.Faults.LatencySpikeProb = 2 }, mem.ErrBadConfig},
