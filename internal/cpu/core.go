@@ -342,7 +342,7 @@ type Core struct {
 	// Committed architectural state.
 	archRegs [isa.NumRegs]uint64
 
-	// Committed-value capture per ROB slot (see operand()).
+	// Committed-value capture per ROB slot (see srcValue).
 	commitSeq []uint64
 	commitV   []uint64
 
@@ -1152,12 +1152,9 @@ func (c *Core) drainWheel() {
 			c.fireBucket(b)
 		}
 	} else if now > c.wheelAt {
-		// Each bucket holds the single cycle in (wheelAt, wheelAt+wheelSize]
-		// congruent to its index; fire the ones at or before now.
 		for i, word := range c.wheelMap {
 			for ; word != 0; word &= word - 1 {
-				b := uint64(i<<6 | bits.TrailingZeros64(word))
-				if at := c.wheelAt + 1 + (b-c.wheelAt-1)&(wheelSize-1); at <= now {
+				if b := uint64(i<<6 | bits.TrailingZeros64(word)); c.bucketCycle(b) <= now {
 					c.fireBucket(b)
 				}
 			}
@@ -1232,13 +1229,18 @@ func (c *Core) nextWake() uint64 {
 	next := c.farMin
 	for i, word := range c.wheelMap {
 		for ; word != 0; word &= word - 1 {
-			b := uint64(i<<6 | bits.TrailingZeros64(word))
-			if at := c.wheelAt + 1 + (b-c.wheelAt-1)&(wheelSize-1); at < next {
+			if at := c.bucketCycle(uint64(i<<6 | bits.TrailingZeros64(word))); at < next {
 				next = at
 			}
 		}
 	}
 	return next
+}
+
+// bucketCycle returns the cycle wheel bucket b holds: the one cycle in
+// (wheelAt, wheelAt+wheelSize] congruent to b.
+func (c *Core) bucketCycle(b uint64) uint64 {
+	return c.wheelAt + 1 + (b-c.wheelAt-1)&(wheelSize-1)
 }
 
 // unschedule removes a squashed entry from the wakeup structures.

@@ -124,25 +124,33 @@ func (c *Core) checkWakeup() error {
 		}
 	}
 	onWheel := 0
-	walk := func(what string, head int32, bucket int) error {
+	// walk validates one wheel list: a bucket's (bucket >= 0) or the far
+	// list's (bucket < 0).
+	walk := func(head int32, bucket int) error {
+		what := func() string {
+			if bucket < 0 {
+				return "far list"
+			}
+			return fmt.Sprintf("wheel bucket %d", bucket)
+		}
 		for s, n := head, 0; s != noLink; s, n = c.rob[s].wnext, n+1 {
 			if s < 0 || int(s) >= c.cfg.ROBSize || c.ordinal(int(s)) >= c.count {
-				return fmt.Errorf("%s references dead ROB slot %d", what, s)
+				return fmt.Errorf("%s references dead ROB slot %d", what(), s)
 			}
 			e := &c.rob[s]
 			switch {
 			case n >= c.count:
-				return fmt.Errorf("%s is cyclic", what)
+				return fmt.Errorf("%s is cyclic", what())
 			case bucket >= 0 && (e.wheel != onBucket || int(e.wake&(wheelSize-1)) != bucket):
-				return fmt.Errorf("%s holds slot %d (wheel state %d, wake %d)", what, s, e.wheel, e.wake)
+				return fmt.Errorf("%s holds slot %d (wheel state %d, wake %d)", what(), s, e.wheel, e.wake)
 			case bucket < 0 && e.wheel != onFar:
-				return fmt.Errorf("%s holds slot %d in wheel state %d", what, s, e.wheel)
+				return fmt.Errorf("%s holds slot %d in wheel state %d", what(), s, e.wheel)
 			case e.wake <= c.wheelAt:
-				return fmt.Errorf("%s holds slot %d with overdue wake %d", what, s, e.wake)
+				return fmt.Errorf("%s holds slot %d with overdue wake %d", what(), s, e.wake)
 			case bucket >= 0 && e.wake > c.wheelAt+wheelSize:
-				return fmt.Errorf("%s holds slot %d with wake %d beyond the wheel's span", what, s, e.wake)
+				return fmt.Errorf("%s holds slot %d with wake %d beyond the wheel's span", what(), s, e.wake)
 			case bucket < 0 && e.wake < c.farMin:
-				return fmt.Errorf("%s holds slot %d waking at %d, before farMin %d", what, s, e.wake, c.farMin)
+				return fmt.Errorf("%s holds slot %d waking at %d, before farMin %d", what(), s, e.wake, c.farMin)
 			}
 			onWheel++
 		}
@@ -152,11 +160,11 @@ func (c *Core) checkWakeup() error {
 		if (head != noLink) != (c.wheelMap[b>>6]&(1<<(b&63)) != 0) {
 			return fmt.Errorf("wheel map disagrees with bucket %d", b)
 		}
-		if err := walk(fmt.Sprintf("wheel bucket %d", b), head, b); err != nil {
+		if err := walk(head, b); err != nil {
 			return err
 		}
 	}
-	if err := walk("far list", c.far, -1); err != nil {
+	if err := walk(c.far, -1); err != nil {
 		return err
 	}
 
