@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -129,5 +132,49 @@ func TestGeneratorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// digest hashes a graph's RowPtr, ColIdx and Weights, each as its length
+// followed by its words, all little-endian.
+func digest(g *CSR) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, s := range [][]uint64{g.RowPtr, g.ColIdx, g.Weights} {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
+		h.Write(buf[:])
+		for _, w := range s {
+			binary.LittleEndian.PutUint64(buf[:], w)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorDigests pins every generated word. The digests fix the
+// order in which the generators consume the RNG stream (edges first,
+// then weights in CSR position order), which the simulated results see
+// only indirectly. A change to a generator or to the CSR build that is
+// meant to be output-preserving must leave them unchanged.
+func TestGeneratorDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    func() *CSR
+		want string
+	}{
+		{"Kronecker(9,8,7)", func() *CSR { return Kronecker(9, 8, 7, false) },
+			"390ee9512009da835b7e989d402a75be2f777c5dee6ccf31f09aa180708d0f71"},
+		{"Kronecker(12,16,1)", func() *CSR { return Kronecker(12, 16, 1, false) },
+			"5277503535d33ec71c168b727fa23b985b691563076ca9f0d8e5a1b6e395604b"},
+		{"Kronecker(10,8,42,weighted)", func() *CSR { return Kronecker(10, 8, 42, true) },
+			"f4b302aba6c6fef6ce3f4d4f25040e25420d0aadd7f956ebeae22453691e10cd"},
+		{"Uniform(1<<12,8,1)", func() *CSR { return Uniform(1<<12, 8, 1, false) },
+			"80112b14bd1fd65bf52ede4be6ccc3d14cab411dd79d8c563d1eb59790104fc5"},
+		{"Uniform(500,4,7,weighted)", func() *CSR { return Uniform(500, 4, 7, true) },
+			"b7a83fe14633d2df8cb7c88bffbe2ddb4e53f316eff586bfa44e2f0baf0c7b8a"},
+	} {
+		if got := digest(tc.g()); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
