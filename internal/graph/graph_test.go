@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +179,90 @@ func TestGeneratorDigests(t *testing.T) {
 		if got := digest(tc.g()); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// refCSR is the obvious CSR build fromEdges must reproduce: sort the
+// (src, dst) pairs, count degrees, and draw weights in position order.
+func refCSR(n int, src, dst []uint64, weighted bool, seed uint64) *CSR {
+	type edge struct{ u, v uint64 }
+	es := make([]edge, len(src))
+	for i := range src {
+		es[i] = edge{src[i], dst[i]}
+	}
+	slices.SortFunc(es, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
+	g := &CSR{RowPtr: make([]uint64, n+1), ColIdx: make([]uint64, len(es))}
+	for i, e := range es {
+		g.RowPtr[e.u+1]++
+		g.ColIdx[i] = e.v
+	}
+	for u := 1; u <= n; u++ {
+		g.RowPtr[u] += g.RowPtr[u-1]
+	}
+	if weighted {
+		r := newRNG(seed)
+		g.Weights = make([]uint64, len(es))
+		for i := range g.Weights {
+			g.Weights[i] = 1 + r.next()%255
+		}
+	}
+	return g
+}
+
+// TestFromEdgesReference checks the radix CSR build against refCSR on
+// seeded edge lists: tiny and non-power-of-two vertex counts, empty and
+// single-edge lists, heavy duplicates and one hub vertex that owns a
+// third of the edges.
+func TestFromEdgesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 500, 1024} {
+		for _, m := range []int{0, 1, 5 * n} {
+			for _, weighted := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d/m=%d/weighted=%v", n, m, weighted)
+				seed := uint64(n*131 + m)
+				r := newRNG(seed)
+				// Draw endpoints from a small pool so duplicates are
+				// common, and route every third edge out of the hub.
+				pool := max(1, n/8)
+				hub := uint64(n / 2)
+				src := make([]uint64, m)
+				dst := make([]uint64, m)
+				for i := range src {
+					src[i] = r.next() % uint64(n)
+					if i%3 == 0 {
+						src[i] = hub
+					}
+					dst[i] = r.next() % uint64(pool) * uint64(n/pool)
+				}
+				want := refCSR(n, src, dst, weighted, seed+1)
+				got := fromEdges(n, slices.Clone(src), slices.Clone(dst), weighted, newRNG(seed+1))
+				if !slices.Equal(got.RowPtr, want.RowPtr) {
+					t.Errorf("%s: RowPtr %v, want %v", name, got.RowPtr, want.RowPtr)
+				}
+				if !slices.Equal(got.ColIdx, want.ColIdx) {
+					t.Errorf("%s: ColIdx differs from the reference", name)
+				}
+				if !slices.Equal(got.Weights, want.Weights) {
+					t.Errorf("%s: Weights differ from the reference", name)
+				}
+			}
+		}
+	}
+}
+
+var sinkCSR *CSR
+
+func BenchmarkKronecker(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		sinkCSR = Kronecker(18, 8, 1, false)
+	}
+}
+
+func BenchmarkUniform(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		sinkCSR = Uniform(1<<18, 8, 1, false)
 	}
 }

@@ -104,10 +104,18 @@ func (b *Backing) Store(addr, val uint64) {
 	e.p[(addr>>3)&(pageWords-1)] = val
 }
 
-// StoreSlice writes vals as consecutive 64-bit words starting at addr.
+// StoreSlice writes vals as consecutive 64-bit words starting at addr,
+// exactly as a Store per word would. It works a page at a time: a Store
+// of the chunk's first word faults the page in or copies it private,
+// and one copy writes the rest.
 func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
-	for i, v := range vals {
-		b.Store(addr+uint64(i)*8, v)
+	for len(vals) > 0 {
+		w := (addr >> 3) & (pageWords - 1)
+		n := min(len(vals), int(pageWords-w))
+		b.Store(addr, vals[0])
+		copy(b.pages[addr>>pageShift].p[w:], vals[:n])
+		addr += uint64(n) * 8
+		vals = vals[n:]
 	}
 }
 

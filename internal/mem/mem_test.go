@@ -50,6 +50,79 @@ func TestBackingSlices(t *testing.T) {
 	}
 }
 
+// sameBacking reports whether two backings hold the same pages with the
+// same contents.
+func sameBacking(a, b *Backing) bool {
+	if len(a.pages) != len(b.pages) {
+		return false
+	}
+	for k, e := range a.pages {
+		f, ok := b.pages[k]
+		if !ok || *e.p != *f.p || e.priv != f.priv {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreSliceMatchesStore checks the page-at-a-time StoreSlice against
+// a Store per word: on fresh and on image-seeded backings, from the
+// middle of a page across several page boundaries, unaligned, and empty.
+func TestStoreSliceMatchesStore(t *testing.T) {
+	vals := make([]uint64, 3*pageWords+17)
+	for i := range vals {
+		vals[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	base := NewBacking()
+	for a := uint64(0x40000); a < 0x48000; a += 8 {
+		base.Store(a, a^0x5555)
+	}
+	img := base.Snapshot()
+	pages := make(map[uint64][pageWords]uint64)
+	for k, p := range img.pages {
+		pages[k] = *p
+	}
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"mid-page, three boundaries", 0x40000 + 300*8, len(vals)},
+		{"unaligned", 0x40000 + 300*8 + 5, 2*pageWords + 1},
+		{"page-aligned, one page", 0x41000, pageWords},
+		{"last word of a page", 0x41ff8, 2},
+		{"beyond the image", 0x47000 + 8, 2 * pageWords},
+		{"empty", 0x40000 + 8, 0},
+	} {
+		for _, seeded := range []bool{false, true} {
+			fresh := func() *Backing {
+				if seeded {
+					return NewBackingFrom(img)
+				}
+				return NewBacking()
+			}
+			got, want, sibling := fresh(), fresh(), fresh()
+			got.StoreSlice(tc.addr, vals[:tc.n])
+			for i, v := range vals[:tc.n] {
+				want.Store(tc.addr+uint64(i)*8, v)
+			}
+			if !sameBacking(got, want) {
+				t.Errorf("%s (seeded %v): StoreSlice differs from word-by-word Store", tc.name, seeded)
+			}
+			for k, e := range sibling.pages {
+				if *e.p != pages[k] {
+					t.Errorf("%s (seeded %v): StoreSlice wrote through to page %#x of a sibling backing", tc.name, seeded, k)
+				}
+			}
+			for k, p := range img.pages {
+				if *p != pages[k] {
+					t.Errorf("%s (seeded %v): StoreSlice wrote through to the image's page %#x", tc.name, seeded, k)
+				}
+			}
+		}
+	}
+}
+
 func TestBackingProperty(t *testing.T) {
 	b := NewBacking()
 	f := func(addr, val uint64) bool {
@@ -483,5 +556,18 @@ func TestMSHROccupancyResetClamps(t *testing.T) {
 	want = 50.0 / 100.0
 	if got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("AvgOccupancy post-rearm = %f, want %f", got, want)
+	}
+}
+
+func BenchmarkStoreSlice(b *testing.B) {
+	vals := make([]uint64, 1<<20)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(vals)) * 8)
+	b.ResetTimer()
+	for range b.N {
+		NewBacking().StoreSlice(0x100_0000, vals)
 	}
 }
