@@ -238,7 +238,7 @@ func TestFromEdgesReference(t *testing.T) {
 				want := refCSR(n, src, dst, weighted, seed+1)
 				got := fromEdges(n, slices.Clone(src), slices.Clone(dst), weighted, newRNG(seed+1))
 				if !slices.Equal(got.RowPtr, want.RowPtr) {
-					t.Errorf("%s: RowPtr %v, want %v", name, got.RowPtr, want.RowPtr)
+					t.Errorf("%s: RowPtr differs from the reference", name)
 				}
 				if !slices.Equal(got.ColIdx, want.ColIdx) {
 					t.Errorf("%s: ColIdx differs from the reference", name)
