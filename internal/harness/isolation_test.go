@@ -19,6 +19,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -115,6 +116,127 @@ func TestIsolatedCampaignByteIdentical(t *testing.T) {
 				t.Errorf("isolated campaign diverged from in-process output:\n--- in-process ---\n%s\n--- isolated ---\n%s", golden, got)
 			}
 		})
+	}
+}
+
+// TestIsolatedImageFallback: the pool's workload image files are an
+// optimization that can never change a result. With every image deleted,
+// truncated or carrying one flipped byte before the first dispatch, the
+// campaign still renders byte-identically to in-process, each worker
+// rebuilding the workload itself, and ImageFallbacks counts one fallback
+// per image (one worker, so one load per workload). Intact images cause
+// none.
+func TestIsolatedImageFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real worker processes")
+	}
+	opt := campaignOpts(1)
+	golden := runCampaign(t, opt)
+	damage := map[string]func(path string) error{
+		"intact":  func(string) error { return nil },
+		"missing": os.Remove,
+		"truncated": func(path string) error {
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, fi.Size()/2)
+		},
+		"flipped": func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			b[len(b)/2] ^= 0x01
+			return os.WriteFile(path, b, 0o644)
+		},
+	}
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			var (
+				mu    sync.Mutex
+				notes []string
+			)
+			pool := newTestPool(t, PoolConfig{Workers: 1, Log: func(s string) {
+				mu.Lock()
+				defer mu.Unlock()
+				notes = append(notes, s)
+			}})
+			for _, wn := range opt.Workloads {
+				w, err := workloads.ByName(wn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path, _ := pool.workloadImage(w)
+				if path == "" {
+					t.Fatalf("pool wrote no image for registry workload %s", wn)
+				}
+				if err := hurt(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			popt := opt
+			popt.Pool = pool
+			if got := runCampaign(t, popt); got != golden {
+				t.Errorf("campaign over %s images diverged from in-process output:\n--- in-process ---\n%s\n--- isolated ---\n%s", name, golden, got)
+			}
+			want := len(opt.Workloads)
+			if name == "intact" {
+				want = 0
+			}
+			if st := pool.Stats(); st.ImageFallbacks != want || st.Crashes != 0 {
+				t.Errorf("stats = %+v, want %d image fallbacks and no crashes", st, want)
+			}
+			if len(notes) != want {
+				t.Errorf("pool logged %d notes, want one per fallback: %q", len(notes), notes)
+			}
+		})
+	}
+}
+
+// TestWorkloadImageLifetime: the pool writes an image only for registry
+// workloads, once per name, into a directory Close removes.
+func TestWorkloadImageLifetime(t *testing.T) {
+	pool := newTestPool(t, PoolConfig{Workers: 1})
+	if path, _ := pool.workloadImage(workloads.MicroStream(64)); path != "" {
+		t.Errorf("pool wrote an image for a non-registry workload: %s", path)
+	}
+	w, err := workloads.ByName("camel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, sum := pool.workloadImage(w)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path2, sum2 := pool.workloadImage(w); path2 != path || sum2 != sum {
+		t.Errorf("second request gave %s/%08x, want the first image %s/%08x", path2, sum2, path, sum)
+	}
+	if fi2, err := os.Stat(path); err != nil || !os.SameFile(fi, fi2) || fi2.ModTime() != fi.ModTime() {
+		t.Error("image was rewritten on the second request")
+	}
+
+	// The worker serves the cell from the image, not from a rebuild, and
+	// refuses an image that holds another workload.
+	loaded := map[string]*workloads.Workload{}
+	got, fallback, err := workerWorkload(loaded, wireCell{Workload: "camel", Image: path, ImageSum: sum})
+	if err != nil || fallback != "" || got.FromRegistry() {
+		t.Errorf("worker did not load camel from its image: fallback %q, err %v", fallback, err)
+	}
+	if again, _, _ := workerWorkload(loaded, wireCell{Workload: "camel"}); again != got {
+		t.Error("worker did not cache the loaded workload by name")
+	}
+	_, fallback, err = workerWorkload(loaded, wireCell{Workload: "hj2", Image: path, ImageSum: sum})
+	if err != nil || !strings.Contains(fallback, "holds workload") {
+		t.Errorf("worker accepted camel's image for hj2: fallback %q, err %v", fallback, err)
+	}
+	pool.Close()
+	if _, err := os.Stat(filepath.Dir(path)); !os.IsNotExist(err) {
+		t.Errorf("image directory survived Close: %v", err)
+	}
+	if path, _ := pool.workloadImage(w); path != "" {
+		t.Errorf("closed pool wrote an image: %s", path)
 	}
 }
 

@@ -80,18 +80,24 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // wireCell is one dispatched cell attempt: everything a worker needs to
-// execute it, self-contained. The workload travels by name (workers
-// rebuild it deterministically via workloads.ByName), and RC already
-// carries the attempt's derived fault seed — the supervisor runs the
-// ForCellAttempt derivation, so the worker never needs to know which
-// attempt it is executing.
+// execute it, self-contained. The workload travels by name plus, for
+// registry workloads, the path and checksum of the image file the pool
+// wrote for it: the worker loads that file once and falls back to
+// rebuilding the workload via workloads.ByName only if the file is
+// missing or damaged. RC already carries the attempt's derived fault
+// seed — the supervisor runs the ForCellAttempt derivation, so the
+// worker never needs to know which attempt it is executing.
 type wireCell struct {
 	// ID is the supervisor's dispatch id; the worker echoes it on every
 	// heartbeat and on the result, which is how the supervisor detects
 	// stale or duplicated messages after a redispatch.
 	ID int
-	// Workload names the cell's workload for workloads.ByName.
+	// Workload names the cell's workload.
 	Workload string
+	// Image is the workload's image file (workloads.WriteImage) and
+	// ImageSum its checksum; empty when the pool wrote none.
+	Image    string `json:",omitempty"`
+	ImageSum uint32 `json:",omitempty"`
 	// RC is the fully resolved run configuration for this attempt.
 	RC RunConfig
 	// Timeout is the remaining per-cell wall-clock budget (0 = none); the
@@ -123,6 +129,9 @@ type wireMsg struct {
 	Result *Result `json:",omitempty"`
 	// Err (results) carries a failed cell's reconstructed *RunError.
 	Err *wireError `json:",omitempty"`
+	// ImageFallback (results) says why the worker could not load the
+	// cell's workload image and built the workload itself instead.
+	ImageFallback string `json:",omitempty"`
 }
 
 // validateMsg checks one decoded message against the protocol and the

@@ -2,10 +2,11 @@
 // hidden `vrbench -worker` mode. A worker is a child process that reads
 // wireCell frames from stdin, executes each one at a time through the
 // same RunSupervisedContext path the in-process scheduler uses, and
-// writes heartbeat and result frames to stdout. It holds no campaign
-// state at all — every dispatch is self-contained — which is what lets
-// the supervisor treat workers as disposable: kill one mid-cell and the
-// cell redispatches to a fresh worker with byte-identical inputs.
+// writes heartbeat and result frames to stdout. Its only state is a
+// cache of the workloads it has loaded — every dispatch is otherwise
+// self-contained — which is what lets the supervisor treat workers as
+// disposable: kill one mid-cell and the cell redispatches to a fresh
+// worker with byte-identical inputs.
 
 package harness
 
@@ -14,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -43,6 +45,7 @@ func (fw *frameWriter) send(v any) error {
 // past either — and vrbench maps it to the protocol-failure exit code.
 func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 	fw := &frameWriter{w: w}
+	loaded := map[string]*workloads.Workload{}
 	for {
 		payload, err := readFrame(r)
 		if err == io.EOF {
@@ -55,7 +58,7 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 		if err := json.Unmarshal(payload, &spec); err != nil {
 			return fmt.Errorf("%w: garbled cell spec: %v", ErrWorkerProtocol, err)
 		}
-		if err := runWorkerCell(ctx, fw, spec); err != nil {
+		if err := runWorkerCell(ctx, fw, loaded, spec); err != nil {
 			return err
 		}
 		if ctx.Err() != nil {
@@ -71,17 +74,18 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 // — an unknown workload, a panic, a timeout — travels back to the
 // supervisor as a structured result so it degrades to an ERR table cell
 // exactly as it would in-process.
-func runWorkerCell(ctx context.Context, fw *frameWriter, spec wireCell) error {
-	// Heartbeats start before workload lookup: ByName constructs the
-	// workload on this process's first dispatch of it (graph synthesis,
-	// validator precompute — easily longer than the heartbeat deadline),
-	// and a silent worker mid-construction must not read as wedged.
+func runWorkerCell(ctx context.Context, fw *frameWriter, loaded map[string]*workloads.Workload, spec wireCell) error {
+	// Heartbeats start before workload lookup: the first dispatch of a
+	// workload to this process loads its image or, failing that, builds
+	// it (graph synthesis, validator precompute — easily longer than the
+	// heartbeat deadline), and a silent worker mid-construction must not
+	// read as wedged.
 	stopHB := startHeartbeats(fw, spec.ID, spec.HeartbeatEvery)
 
-	wl, err := workloads.ByName(spec.Workload)
+	wl, fallback, err := workerWorkload(loaded, spec)
 	if err != nil {
 		stopHB()
-		return fw.send(wireMsg{Type: msgResult, ID: spec.ID, Err: newWireError(
+		return fw.send(wireMsg{Type: msgResult, ID: spec.ID, ImageFallback: fallback, Err: newWireError(
 			spec.Workload, spec.RC.Tech,
 			&RunError{Workload: spec.Workload, Tech: spec.RC.Tech, Phase: "setup", Err: err})})
 	}
@@ -98,13 +102,50 @@ func runWorkerCell(ctx context.Context, fw *frameWriter, spec wireCell) error {
 	res, rerr := RunSupervisedContext(runCtx, wl, spec.RC)
 	stopHB()
 
-	msg := wireMsg{Type: msgResult, ID: spec.ID}
+	msg := wireMsg{Type: msgResult, ID: spec.ID, ImageFallback: fallback}
 	if rerr != nil {
 		msg.Err = newWireError(spec.Workload, spec.RC.Tech, rerr)
 	} else {
 		msg.Result = &res
 	}
 	return fw.send(msg)
+}
+
+// workerWorkload returns the cell's workload, loading it on the
+// process's first dispatch of its name: from the pool's image file when
+// the spec names one, else — or when the file is missing, truncated or
+// corrupt — by building it with workloads.ByName. fallback reports why
+// an image could not be used; a damaged image is never run.
+func workerWorkload(loaded map[string]*workloads.Workload, spec wireCell) (w *workloads.Workload, fallback string, err error) {
+	if w := loaded[spec.Workload]; w != nil {
+		return w, "", nil
+	}
+	if spec.Image != "" {
+		img, lerr := loadImageFile(spec.Image, spec.ImageSum)
+		if lerr == nil && img.Name != spec.Workload {
+			lerr = fmt.Errorf("image holds workload %q", img.Name)
+		}
+		if lerr == nil {
+			loaded[spec.Workload] = img
+			return img, "", nil
+		}
+		fallback = lerr.Error()
+	}
+	w, err = workloads.ByName(spec.Workload)
+	if err == nil {
+		loaded[spec.Workload] = w
+	}
+	return w, fallback, err
+}
+
+// loadImageFile reads one workload image file.
+func loadImageFile(path string, sum uint32) (*workloads.Workload, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return workloads.LoadImage(f, sum)
 }
 
 // startHeartbeats begins the per-cell heartbeat stream: a wireMsg every

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -102,6 +103,9 @@ type PoolStats struct {
 	Starts int
 	// Crashes is how many dispatches ended in a worker death.
 	Crashes int
+	// ImageFallbacks is how many times a worker could not load the
+	// workload image the pool wrote and built the workload itself.
+	ImageFallbacks int
 }
 
 // WorkerPool runs cells in supervised child processes. Construct with
@@ -116,12 +120,23 @@ type WorkerPool struct {
 	// slots bounds concurrently leased workers to cfg.Workers.
 	slots chan struct{}
 
-	mu     sync.Mutex
-	idle   []*workerProc // vrlint:guardedby mu
-	starts int           // vrlint:guardedby mu
-	crashes int          // vrlint:guardedby mu
-	nextID int           // vrlint:guardedby mu
-	closed bool          // vrlint:guardedby mu
+	mu        sync.Mutex
+	idle      []*workerProc         // vrlint:guardedby mu
+	starts    int                   // vrlint:guardedby mu
+	crashes   int                   // vrlint:guardedby mu
+	fallbacks int                   // vrlint:guardedby mu
+	nextID    int                   // vrlint:guardedby mu
+	closed    bool                  // vrlint:guardedby mu
+	imageDir  string                // vrlint:guardedby mu
+	images    map[string]*poolImage // vrlint:guardedby mu
+}
+
+// poolImage is one workload's image file, written once per pool.
+type poolImage struct {
+	once sync.Once
+	path string
+	sum  uint32
+	err  error
 }
 
 // NewWorkerPool creates a pool; workers start lazily on first lease.
@@ -149,7 +164,7 @@ func NewWorkerPool(cfg PoolConfig) (*WorkerPool, error) {
 func (p *WorkerPool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return PoolStats{Starts: p.starts, Crashes: p.crashes}
+	return PoolStats{Starts: p.starts, Crashes: p.crashes, ImageFallbacks: p.fallbacks}
 }
 
 // Run executes one cell in an isolated worker, redispatching across
@@ -168,6 +183,7 @@ func (p *WorkerPool) Run(ctx context.Context, w *workloads.Workload, rc RunConfi
 	defer func() { <-p.slots }()
 
 	spec := wireCell{Workload: w.Name, RC: rc, HeartbeatEvery: p.cfg.HeartbeatEvery}
+	spec.Image, spec.ImageSum = p.workloadImage(w)
 	if dl, ok := ctx.Deadline(); ok {
 		spec.Timeout = time.Until(dl)
 		if spec.Timeout <= 0 {
@@ -200,6 +216,13 @@ func (p *WorkerPool) Run(ctx context.Context, w *workloads.Workload, rc RunConfi
 			} else {
 				p.release(wp)
 			}
+			if msg.ImageFallback != "" {
+				p.mu.Lock()
+				p.fallbacks++
+				p.mu.Unlock()
+				p.logf("worker pid %d could not load the image of %s and built it itself: %s",
+					wp.pid(), w.Name, msg.ImageFallback)
+			}
 			if msg.Err != nil {
 				return Result{}, msg.Err.runError()
 			}
@@ -223,6 +246,63 @@ func (p *WorkerPool) Run(ctx context.Context, w *workloads.Workload, rc RunConfi
 		lastCrash = errors.New("dispatch budget exhausted")
 	}
 	return Result{}, &RunError{Workload: w.Name, Tech: rc.Tech, Phase: "worker", Err: lastCrash}
+}
+
+// workloadImage returns the path and checksum of w's image file, writing
+// it on the pool's first dispatch of w. Only registry workloads get one:
+// a worker that cannot load the image rebuilds the workload by name, and
+// that rebuild must be the very workload the image holds. An empty path
+// (no image, or one that could not be written) sends the worker straight
+// to the rebuild.
+func (p *WorkerPool) workloadImage(w *workloads.Workload) (string, uint32) {
+	if !w.FromRegistry() {
+		return "", 0
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return "", 0
+	}
+	if p.imageDir == "" {
+		dir, err := os.MkdirTemp("", "vrsim-images-")
+		if err != nil {
+			p.mu.Unlock()
+			p.logf("cannot create the workload image directory; workers will build workloads themselves: %v", err)
+			return "", 0
+		}
+		p.imageDir, p.images = dir, map[string]*poolImage{}
+	}
+	img := p.images[w.Name]
+	if img == nil {
+		img = &poolImage{path: filepath.Join(p.imageDir, w.Name+".img")}
+		p.images[w.Name] = img
+	}
+	p.mu.Unlock()
+	img.once.Do(func() {
+		img.sum, img.err = writeImageFile(img.path, w)
+		if img.err != nil {
+			p.logf("cannot write the image of %s; workers will build it themselves: %v", w.Name, img.err)
+		}
+	})
+	if img.err != nil {
+		return "", 0
+	}
+	return img.path, img.sum
+}
+
+// writeImageFile writes w's image to path. A partial file left by a
+// failure is never sent to a worker, and Close removes it with the
+// directory.
+func writeImageFile(path string, w *workloads.Workload) (uint32, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	sum, err := workloads.WriteImage(f, w)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return sum, err
 }
 
 // ctxRunError translates a dead context into the *RunError the
@@ -302,9 +382,9 @@ func (p *WorkerPool) allocID() int {
 }
 
 // Close shuts the pool down: idle workers get a clean EOF and the grace
-// window to exit, stragglers get the kill ladder. Safe to call once the
-// campaign's sweeps have finished; concurrent Runs will fail their next
-// lease rather than hang.
+// window to exit, stragglers get the kill ladder, and the workload image
+// directory is removed. Safe to call once the campaign's sweeps have
+// finished; concurrent Runs will fail their next lease rather than hang.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -314,6 +394,7 @@ func (p *WorkerPool) Close() {
 	p.closed = true
 	idle := p.idle
 	p.idle = nil
+	imageDir := p.imageDir
 	p.mu.Unlock()
 	// Close every stdin first so all workers wind down concurrently,
 	// then wait on each.
@@ -322,6 +403,11 @@ func (p *WorkerPool) Close() {
 	}
 	for _, wp := range idle {
 		wp.shutdown(p.cfg.KillGrace)
+	}
+	if imageDir != "" {
+		if err := os.RemoveAll(imageDir); err != nil {
+			p.logf("cannot remove the workload image directory: %v", err)
+		}
 	}
 }
 

@@ -66,11 +66,6 @@ type AccessEvent struct {
 	Cycle   uint64
 	Level   Level
 	IsWrite bool
-	// Value is the 64-bit word at Addr (loads only; zero when no backing
-	// store is attached). Indirect prefetchers correlate index values with
-	// subsequent miss addresses, mirroring how hardware IMP snoops fill
-	// data.
-	Value uint64
 }
 
 // Prefetcher observes demand traffic and issues prefetches back into the
@@ -95,8 +90,8 @@ type Hierarchy struct {
 	MSHR *MSHRFile
 	DRAM *DRAM
 
-	// Data optionally points at the functional backing store so prefetcher
-	// training events can carry load values (see AccessEvent.Value).
+	// Data optionally points at the functional backing store, so
+	// prefetchers that correlate on loaded values (IMP) can read them.
 	Data *Backing
 
 	// PerfectL1 makes every access an L1 hit — the evaluation's Oracle,
@@ -238,11 +233,7 @@ func (h *Hierarchy) Access(cycle uint64, pc int, addr uint64, isWrite bool, clas
 			h.Stats.TimelinessHits[res.PrefetchedBy][lvl]++
 		}
 		if h.pf != nil {
-			ev := AccessEvent{PC: pc, Addr: addr, Cycle: cycle, Level: res.Level, IsWrite: isWrite}
-			if !isWrite && h.Data != nil {
-				ev.Value = h.Data.Load(addr)
-			}
-			h.pf.OnAccess(h, ev)
+			h.pf.OnAccess(h, AccessEvent{PC: pc, Addr: addr, Cycle: cycle, Level: res.Level, IsWrite: isWrite})
 		}
 	} else if class == ClassRunahead && !res.Dropped {
 		h.Stats.RunaheadAccesses[res.Level]++

@@ -145,3 +145,145 @@ func TestHierarchyInclusionOnFills(t *testing.T) {
 		}
 	}
 }
+
+// refMSHR is the MSHR file with an expiry sweep on every call: entries
+// in arrival order, expired ones filtered out before every Outstanding,
+// Acquire and TryAcquire, and a stalled Acquire frees its earliest entry
+// by moving the last one into its slot. The real file skips sweeps that
+// cannot drop anything and must agree with it on every outcome.
+type refMSHR struct {
+	capacity int
+	lines    []uint64
+	done     []uint64
+	srcs     []PrefetchSource
+	allocs   uint64
+	stalls   uint64
+}
+
+func (r *refMSHR) expire(cycle uint64) {
+	w := 0
+	for i := range r.done {
+		if r.done[i] > cycle {
+			r.lines[w], r.done[w], r.srcs[w] = r.lines[i], r.done[i], r.srcs[i]
+			w++
+		}
+	}
+	r.lines, r.done, r.srcs = r.lines[:w], r.done[:w], r.srcs[:w]
+}
+
+func (r *refMSHR) outstanding(line, cycle uint64) (uint64, PrefetchSource, bool) {
+	r.expire(cycle)
+	for i, l := range r.lines {
+		if l == line {
+			return r.done[i], r.srcs[i], true
+		}
+	}
+	return 0, SrcDemand, false
+}
+
+func (r *refMSHR) acquire(cycle uint64) uint64 {
+	r.expire(cycle)
+	r.allocs++
+	if len(r.done) < r.capacity {
+		return cycle
+	}
+	r.stalls++
+	ei := 0
+	for i, d := range r.done {
+		if d < r.done[ei] {
+			ei = i
+		}
+	}
+	earliest, last := r.done[ei], len(r.done)-1
+	r.lines[ei], r.done[ei], r.srcs[ei] = r.lines[last], r.done[last], r.srcs[last]
+	r.lines, r.done, r.srcs = r.lines[:last], r.done[:last], r.srcs[:last]
+	return earliest
+}
+
+func (r *refMSHR) tryAcquire(cycle uint64) bool {
+	r.expire(cycle)
+	if len(r.done) >= r.capacity {
+		return false
+	}
+	r.allocs++
+	return true
+}
+
+func (r *refMSHR) complete(line, done uint64, src PrefetchSource) {
+	r.lines, r.done, r.srcs = append(r.lines, line), append(r.done, done), append(r.srcs, src)
+}
+
+func (r *refMSHR) inFlightAt(cycle uint64) int {
+	n := 0
+	for _, d := range r.done {
+		if d > cycle {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMSHRMatchesAlwaysSweep drives the real file and refMSHR with the
+// same random Outstanding/Acquire/TryAcquire/Complete/Reset stream — a
+// clock that mostly advances but sometimes stalls or steps back (runahead
+// engines probe at their own cycles), few lines so merges are common —
+// and compares every result plus InFlightAt around the current cycle.
+func TestMSHRMatchesAlwaysSweep(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(8)
+		m := NewMSHRFile(capacity)
+		ref := &refMSHR{capacity: capacity}
+		cycle := uint64(1000)
+		for i := 0; i < 5_000; i++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				cycle += uint64(rng.Intn(30))
+			case k < 8:
+			default:
+				cycle -= min(cycle, uint64(rng.Intn(40)))
+			}
+			line := uint64(rng.Intn(16))
+			src := PrefetchSource(rng.Intn(int(NumSources)))
+			switch op := rng.Intn(20); {
+			case op < 8:
+				gd, gs, gok := m.Outstanding(line, cycle)
+				wd, ws, wok := ref.outstanding(line, cycle)
+				if gd != wd || gs != ws || gok != wok {
+					t.Fatalf("seed %d op %d: Outstanding(%d, %d) = (%d, %v, %v), reference (%d, %v, %v)",
+						seed, i, line, cycle, gd, gs, gok, wd, ws, wok)
+				}
+			case op < 14:
+				got, want := m.Acquire(cycle), ref.acquire(cycle)
+				if got != want {
+					t.Fatalf("seed %d op %d: Acquire(%d) = %d, reference %d", seed, i, cycle, got, want)
+				}
+				done := got + uint64(rng.Intn(300))
+				m.Complete(line, got, done, src)
+				ref.complete(line, done, src)
+			case op < 19:
+				got, want := m.TryAcquire(cycle), ref.tryAcquire(cycle)
+				if got != want {
+					t.Fatalf("seed %d op %d: TryAcquire(%d) = %v, reference %v", seed, i, cycle, got, want)
+				}
+				if got {
+					done := cycle + uint64(rng.Intn(300))
+					m.Complete(line, cycle, done, src)
+					ref.complete(line, done, src)
+				}
+			default:
+				m.Reset()
+				*ref = refMSHR{capacity: capacity}
+			}
+			for _, c := range []uint64{cycle - 50, cycle, cycle + 1, cycle + 150} {
+				if got, want := m.InFlightAt(c), ref.inFlightAt(c); got != want {
+					t.Fatalf("seed %d op %d: InFlightAt(%d) = %d, reference %d", seed, i, c, got, want)
+				}
+			}
+			if m.Allocations != ref.allocs || m.StallEvents != ref.stalls {
+				t.Fatalf("seed %d op %d: allocations/stalls = %d/%d, reference %d/%d",
+					seed, i, m.Allocations, m.StallEvents, ref.allocs, ref.stalls)
+			}
+		}
+	}
+}

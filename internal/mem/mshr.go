@@ -18,6 +18,10 @@ type MSHRFile struct {
 	done  []uint64
 	srcs  []PrefetchSource
 	n     int
+	// minDone is the earliest done over [0:n] (noneDone when empty):
+	// expire has nothing to drop while the clock is below it, so the
+	// sweep runs only when some miss has actually completed.
+	minDone uint64
 
 	// Stats
 	Allocations   uint64
@@ -26,6 +30,9 @@ type MSHRFile struct {
 	occupancyArea uint64 // sum over misses of (done - start): occupancy integral
 	lastCycle     uint64 // most recent observation point, for GC only
 }
+
+// noneDone is minDone for an empty file.
+const noneDone = ^uint64(0)
 
 // NewMSHRFile returns a file with the given number of entries.
 func NewMSHRFile(capacity int) *MSHRFile {
@@ -37,6 +44,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 		lines:    make([]uint64, capacity),
 		done:     make([]uint64, capacity),
 		srcs:     make([]PrefetchSource, capacity),
+		minDone:  noneDone,
 	}
 }
 
@@ -48,6 +56,15 @@ func (m *MSHRFile) expire(cycle uint64) {
 	if cycle > m.lastCycle {
 		m.lastCycle = cycle
 	}
+	if cycle >= m.minDone {
+		m.sweep(cycle)
+	}
+}
+
+// sweep compacts out the entries completed by cycle.
+//
+//vrlint:allow inlinecost -- cost 82: the slow path split out of expire, run only once some miss has completed; out of line it keeps expire inlinable
+func (m *MSHRFile) sweep(cycle uint64) {
 	w := 0
 	for i := 0; i < m.n; i++ {
 		if m.done[i] > cycle {
@@ -58,13 +75,22 @@ func (m *MSHRFile) expire(cycle uint64) {
 		}
 	}
 	m.n = w
+	m.recomputeMinDone()
+}
+
+// recomputeMinDone rescans the live entries for the earliest completion.
+func (m *MSHRFile) recomputeMinDone() {
+	m.minDone = noneDone
+	for _, d := range m.done[:m.n] {
+		m.minDone = min(m.minDone, d)
+	}
 }
 
 // Outstanding returns the completion cycle and requesting source if the
 // line already has an MSHR allocated at the given cycle (a secondary miss
 // that merges).
 //
-//vrlint:allow inlinecost -- cost 108: expiry sweep plus merge scan over a config-bounded file; split in the overhaul if it shows up
+//vrlint:allow inlinecost -- cost 111: expire's inlined fast path plus the merge scan over a config-bounded file
 func (m *MSHRFile) Outstanding(line uint64, cycle uint64) (done uint64, src PrefetchSource, ok bool) {
 	m.expire(cycle)
 	for i := 0; i < m.n; i++ {
@@ -119,13 +145,14 @@ func (m *MSHRFile) Acquire(cycle uint64) (start uint64) {
 	m.done[ei] = m.done[last]
 	m.srcs[ei] = m.srcs[last]
 	m.n = last
+	m.recomputeMinDone()
 	return earliest
 }
 
 // TryAcquire allocates an MSHR only if one is free at cycle; prefetchers
 // use it so they never stall (a full file just drops the prefetch).
 //
-//vrlint:allow inlinecost -- cost 96: expiry sweep dominates; shared with Outstanding, owned by the overhaul
+//vrlint:allow inlinecost -- cost 91: expire's inlined fast path dominates; the sweep itself is out of line
 func (m *MSHRFile) TryAcquire(cycle uint64) bool {
 	m.expire(cycle)
 	if m.n >= m.capacity {
@@ -144,6 +171,7 @@ func (m *MSHRFile) Complete(line, start, done uint64, src PrefetchSource) {
 	m.done[m.n] = done
 	m.srcs[m.n] = src
 	m.n++
+	m.minDone = min(m.minDone, done)
 	if done > start {
 		m.occupancyArea += done - start
 	}
@@ -182,7 +210,7 @@ func (m *MSHRFile) ResetStatsAt(cycle uint64) {
 
 // Reset clears all entries and statistics.
 func (m *MSHRFile) Reset() {
-	m.n = 0
+	m.n, m.minDone = 0, noneDone
 	m.Allocations, m.Merges, m.StallEvents = 0, 0, 0
 	m.occupancyArea, m.lastCycle = 0, 0
 }

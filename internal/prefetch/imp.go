@@ -84,8 +84,14 @@ func (p *IMP) OnAccess(h *mem.Hierarchy, ev mem.AccessEvent) {
 	if e.Confident() {
 		// This is a striding index load: try to trigger learned patterns
 		// and remember it for pairing with upcoming indirect loads.
+		// The index value is read as the load sees it, mirroring how
+		// hardware IMP snoops fill data.
+		var value uint64
+		if h.Data != nil {
+			value = h.Data.Load(ev.Addr)
+		}
 		p.trigger(h, ev, e)
-		p.lastIndex = indexObs{pc: ev.PC, addr: ev.Addr, stride: e.Stride, value: ev.Value}
+		p.lastIndex = indexObs{pc: ev.PC, addr: ev.Addr, stride: e.Stride, value: value}
 		p.haveIndex = true
 		return
 	}

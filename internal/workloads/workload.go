@@ -48,19 +48,34 @@ type Workload struct {
 	// per-cell initialization into a page-table copy.
 	imageOnce sync.Once
 	image     *mem.Image
+
+	// registry marks a default-scale build from Builders: ByName(Name)
+	// rebuilds exactly this workload, so a saved image of it can stand in
+	// for that rebuild in another process.
+	registry bool
+}
+
+// Image returns the workload's initialized memory image, running Init on
+// first use. Safe for concurrent use; the image must not be modified.
+func (w *Workload) Image() *mem.Image {
+	w.imageOnce.Do(func() {
+		d := mem.NewBacking()
+		w.Init(d)
+		w.image = d.Snapshot()
+	})
+	return w.image
 }
 
 // Fresh returns an initialized backing store for the workload. Each call
 // returns an independent store: cells never observe each other's writes.
 // Safe for concurrent use.
 func (w *Workload) Fresh() *mem.Backing {
-	w.imageOnce.Do(func() {
-		d := mem.NewBacking()
-		w.Init(d)
-		w.image = d.Snapshot()
-	})
-	return mem.NewBackingFrom(w.image)
+	return mem.NewBackingFrom(w.Image())
 }
+
+// FromRegistry reports whether w is a default-scale registry build, one
+// that ByName(w.Name) reproduces exactly.
+func (w *Workload) FromRegistry() bool { return w.registry }
 
 // layout hands out disjoint, widely separated array base addresses so
 // distinct structures never share cache sets by accident and prefetcher
@@ -149,6 +164,7 @@ func Registry() []*Workload {
 	ws := make([]*Workload, len(bs))
 	for i, b := range bs {
 		ws[i] = b.Build()
+		ws[i].registry = true
 	}
 	return ws
 }
@@ -189,7 +205,9 @@ func ByName(name string) (*Workload, error) {
 func buildByName(name string) (*Workload, error) {
 	for _, b := range Builders() {
 		if b.Name == name {
-			return b.Build(), nil
+			w := b.Build()
+			w.registry = true
+			return w, nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)

@@ -35,6 +35,11 @@ journal="$dir/campaign.journal"
 echo "chaos: building vrbench (race detector on)"
 "$GO" build -race -o "$dir/vrbench" ./cmd/vrbench
 
+# Isolated supervisors write their workload images under $TMPDIR. Keep
+# them inside $dir: the supervisor SIGKILLed below cannot remove its own.
+export TMPDIR="$dir/tmp"
+mkdir -p "$TMPDIR"
+
 echo "chaos: golden uninterrupted run"
 set +e
 "$dir/vrbench" "${flags[@]}" >"$dir/golden.txt" 2>"$dir/golden.err"
@@ -115,6 +120,8 @@ set -e
 	fail "isolated run exited $iso_status, golden exited $golden_status (stderr: $(cat "$dir/isolated.err"))"
 diff -u "$dir/golden.txt" "$dir/isolated.txt" >&2 ||
 	fail "worker SIGKILL changed the campaign output"
+leftover="$(find "$TMPDIR" -maxdepth 1 -name 'vrsim-images-*')"
+[ -z "$leftover" ] || fail "the isolated run left its workload images behind: $leftover"
 
 echo "chaos: process-isolated run, supervisor SIGKILL mid-journal, resume"
 journal2="$dir/isolated.journal"
