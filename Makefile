@@ -32,21 +32,19 @@ check:
 	$(GO) test -race ./...
 	./scripts/chaos_smoke.sh
 
-# Regenerate the committed budget baselines: census.json (hotalloc's
-# steady-state allocation census) and codegen.json (the bce/devirt/
-# inlinecost codegen-quality budget). Run after an intentional change to
+# Regenerate the committed allocation baseline: census.json (hotalloc's
+# steady-state allocation census). Run after an intentional change to
 # the cycle closure and commit the diff — CI fails on any drift the
-# baselines don't reflect. Both artifacts embed compiler verdicts, so
-# regenerate with the same toolchain CI pins.
+# baseline doesn't reflect. The census embeds compiler escape verdicts,
+# so regenerate with the same toolchain CI pins.
 budget:
-	$(GO) run ./cmd/vrlint -census census.json -codegen codegen.json ./...
+	$(GO) run ./cmd/vrlint -census census.json ./...
 
-# Budget drift gate (what CI runs): regenerate both artifacts into /tmp
-# and require them byte-identical to the committed baselines.
+# Census drift gate (what CI runs): regenerate the census into /tmp and
+# require it byte-identical to the committed baseline.
 budgetcheck:
-	$(GO) run ./cmd/vrlint -census /tmp/vrsim_census.json -codegen /tmp/vrsim_codegen.json ./...
+	$(GO) run ./cmd/vrlint -census /tmp/vrsim_census.json ./...
 	diff -u census.json /tmp/vrsim_census.json
-	diff -u codegen.json /tmp/vrsim_codegen.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

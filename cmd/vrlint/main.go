@@ -1,9 +1,8 @@
 // Command vrlint is the simulator-invariant multichecker: it runs the
-// thirteen vrsim-specific static-analysis passes — six per-package
-// (simdet, panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and
-// seven module-scope (statsflow, hotalloc, lockcheck, observe, bce,
-// devirt, inlinecost) — over the repository and fails when any invariant
-// is violated. See DESIGN.md "Static invariants" for what each pass
+// ten vrsim-specific static-analysis passes — six per-package (simdet,
+// panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and four
+// module-scope (statsflow, hotalloc, lockcheck, observe) — over the
+// repository and fails when any invariant is violated. See DESIGN.md "Static invariants" for what each pass
 // encodes and the `//vrlint:allow` suppression syntax.
 //
 // Standalone usage (what `make lint` runs):
@@ -11,7 +10,6 @@
 //	vrlint [packages...]           # default ./...
 //	vrlint -json [packages...]     # machine-readable findings (incl. suppressed)
 //	vrlint -census FILE [pkgs...]  # also write hotalloc's allocation census JSON
-//	vrlint -codegen FILE [pkgs...] # also write the bce/devirt/inlinecost codegen budget JSON
 //	vrlint -list                   # describe the passes and exit
 //
 // vrlint also speaks the `go vet -vettool` unit-checker protocol: when
@@ -36,14 +34,11 @@ import (
 	"strings"
 
 	"vrsim/internal/analysis"
-	"vrsim/internal/analysis/bce"
 	"vrsim/internal/analysis/boundcheck"
 	"vrsim/internal/analysis/cfgflow"
-	"vrsim/internal/analysis/devirt"
 	"vrsim/internal/analysis/cyclesafe"
 	"vrsim/internal/analysis/exhaustive"
 	"vrsim/internal/analysis/hotalloc"
-	"vrsim/internal/analysis/inlinecost"
 	"vrsim/internal/analysis/lockcheck"
 	"vrsim/internal/analysis/observe"
 	"vrsim/internal/analysis/panicfree"
@@ -55,14 +50,11 @@ import (
 // results; bump it when a pass changes behaviour. The numeric part is
 // also echoed in `-json` output so downstream tooling can detect schema
 // drift.
-const version = "vrlint version 4.0.0"
+const version = "vrlint version 5.0.0"
 
-// schemas of the machine-readable artifacts vrlint emits; bump alongside
+// censusSchema names the `-census` artifact's format; bump it alongside
 // any field change so baseline diffs fail loudly instead of silently.
-const (
-	censusSchema  = "vrsim-hotalloc-census/v1"
-	codegenSchema = "vrsim-codegen-budget/v1"
-)
+const censusSchema = "vrsim-hotalloc-census/v1"
 
 // analyzers is the multichecker's per-package pass set.
 var analyzers = []*analysis.Analyzer{
@@ -80,9 +72,6 @@ var moduleAnalyzers = []*analysis.ModuleAnalyzer{
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,
 	observe.Analyzer,
-	bce.Analyzer,
-	devirt.Analyzer,
-	inlinecost.Analyzer,
 }
 
 func main() {
@@ -92,7 +81,6 @@ func main() {
 		list         = flag.Bool("list", false, "describe the passes and exit")
 		jsonOut      = flag.Bool("json", false, "emit findings as JSON, including suppressed ones")
 		censusFile   = flag.String("census", "", "write hotalloc's steady-state allocation census to this JSON file")
-		codegenFile  = flag.String("codegen", "", "write the bce/devirt/inlinecost codegen budget to this JSON file")
 	)
 	flag.Parse()
 
@@ -117,7 +105,7 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vetUnit(args[0]))
 	}
-	os.Exit(standalone(args, *jsonOut, *censusFile, *codegenFile))
+	os.Exit(standalone(args, *jsonOut, *censusFile))
 }
 
 // censusArtifact is the envelope of the `-census` JSON artifact.
@@ -139,47 +127,6 @@ func writeCensus(pkgs []*analysis.Package, file string) error {
 		sites = []hotalloc.Site{}
 	}
 	return writeJSON(file, censusArtifact{Schema: censusSchema, Sites: sites})
-}
-
-// codegenArtifact is the envelope of the `-codegen` JSON artifact: the
-// merged bce/devirt/inlinecost budget, the sibling of the census.
-type codegenArtifact struct {
-	Schema  string                  `json:"schema"`
-	Entries []analysis.CodegenEntry `json:"entries"`
-}
-
-// writeCodegen emits the codegen-quality budget: every surviving bounds
-// check, interface dispatch and uninlinable function in the
-// cycle-reachable closure. Cross-validation mismatches (a compiler
-// record the AST model cannot anchor, or a reachable declaration with no
-// inline verdict) are hard errors — a drifted budget is worse than none.
-func writeCodegen(pkgs []*analysis.Package, file string) error {
-	bceRes, bceEntries, err := bce.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("bce: %w", err)
-	}
-	if len(bceRes.Mismatches) > 0 {
-		m := bceRes.Mismatches[0]
-		return fmt.Errorf("bce: %d unanchored check_bce record(s), first at %s:%d:%d: %s",
-			len(bceRes.Mismatches), m.File, m.Line, m.Col, m.Message)
-	}
-	_, devirtEntries, err := devirt.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("devirt: %w", err)
-	}
-	inlRes, inlEntries, err := inlinecost.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("inlinecost: %w", err)
-	}
-	if len(inlRes.Mismatches) > 0 {
-		return fmt.Errorf("inlinecost: no inline verdict for reachable %s", strings.Join(inlRes.Mismatches, ", "))
-	}
-	entries := make([]analysis.CodegenEntry, 0, len(bceEntries)+len(devirtEntries)+len(inlEntries))
-	entries = append(entries, bceEntries...)
-	entries = append(entries, devirtEntries...)
-	entries = append(entries, inlEntries...)
-	analysis.SortCodegenEntries(entries)
-	return writeJSON(file, codegenArtifact{Schema: codegenSchema, Entries: entries})
 }
 
 // writeJSON writes one indented JSON artifact.
@@ -222,7 +169,7 @@ func jsonVersion() string {
 // standalone loads the requested packages with the go list driver and
 // applies every pass, honoring each analyzer's Scope. Module-scope
 // analyzers run once over the full package set.
-func standalone(patterns []string, jsonOut bool, censusFile, codegenFile string) int {
+func standalone(patterns []string, jsonOut bool, censusFile string) int {
 	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vrlint:", err)
@@ -231,12 +178,6 @@ func standalone(patterns []string, jsonOut bool, censusFile, codegenFile string)
 	if censusFile != "" {
 		if err := writeCensus(pkgs, censusFile); err != nil {
 			fmt.Fprintln(os.Stderr, "vrlint: census:", err)
-			return 1
-		}
-	}
-	if codegenFile != "" {
-		if err := writeCodegen(pkgs, codegenFile); err != nil {
-			fmt.Fprintln(os.Stderr, "vrlint: codegen:", err)
 			return 1
 		}
 	}

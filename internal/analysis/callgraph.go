@@ -471,8 +471,7 @@ func (g *CallGraph) recordCompositeAssigns(pkg *Package, cl *ast.CompositeLit) {
 // Implementations returns the keys of every module method named name
 // whose receiver type structurally implements iface (method-name-set
 // inclusion; nominal identity does not survive the per-package type
-// universes). The devirt pass uses the cardinality of this set to spot
-// interface call sites with exactly one concrete target.
+// universes). CalleeKeys fans an interface call out over this set.
 func (g *CallGraph) Implementations(iface types.Type, name string) []string {
 	it, ok := iface.Underlying().(*types.Interface)
 	if !ok {

@@ -1,8 +1,6 @@
-// Cached `go tool compile` diagnostic ingestion, shared by every pass
-// that cross-checks its AST-level reasoning against the compiler's own
-// codegen decisions: hotalloc (-m=2 escape headlines), inlinecost
-// (-m=2 inline verdicts) and bce (-d=ssa/check_bce bounds-check
-// records).
+// Cached `go tool compile` diagnostic ingestion for the hotalloc pass,
+// which cross-checks its AST-level allocation reasoning against the
+// compiler's own -m=2 escape headlines.
 //
 // `go build -gcflags=...` is the obvious way to get these diagnostics,
 // but its output is suppressed whenever the build cache is warm — a
@@ -15,7 +13,8 @@
 //
 // Results are cached per (dir, package set, flag set) for the lifetime
 // of the process, mirroring the export-data loader's in-memory caching,
-// so the -m=2 run feeds both hotalloc and inlinecost from one compile.
+// so repeated hotalloc runs (the lint pass and the census) share one
+// compile.
 package analysis
 
 import (
@@ -36,7 +35,7 @@ type CompileDiag struct {
 	File    string // absolute path
 	Line    int
 	Col     int
-	Message string // e.g. "escapes to heap", "cannot inline f: ...", "Found IsInBounds"
+	Message string // e.g. "escapes to heap", "moved to heap: x"
 }
 
 // A CompileDiagIndex holds the diagnostics of a set of packages, indexed
@@ -55,11 +54,6 @@ func (ix *CompileDiagIndex) InRange(file string, startLine, endLine int) []Compi
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].Line >= startLine })
 	j := sort.Search(len(recs), func(i int) bool { return recs[i].Line > endLine })
 	return recs[i:j]
-}
-
-// AtLine returns the records in file on exactly the given line.
-func (ix *CompileDiagIndex) AtLine(file string, line int) []CompileDiag {
-	return ix.InRange(file, line, line)
 }
 
 // Filter returns a new index holding only the records keep accepts.
@@ -236,20 +230,4 @@ func splitDiagLine(line string) (file string, lineNo, col int, msg string, ok bo
 	}
 	msg = strings.TrimPrefix(parts[2], " ")
 	return file, lineNo, col, msg, true
-}
-
-// LoadBoundsChecks runs the compiler's bounds-check-elimination debug
-// pass (-d=ssa/check_bce) over the given packages and returns the
-// positions where a runtime bounds check survives in the generated
-// code: "Found IsInBounds" (index expressions) and "Found
-// IsSliceInBounds" (slice expressions). The bce pass anchors these to
-// AST sites in the cycle-reachable closure.
-func LoadBoundsChecks(dir string, pkgPaths []string) (*CompileDiagIndex, error) {
-	ix, err := LoadCompileDiags(dir, pkgPaths, "-d=ssa/check_bce")
-	if err != nil {
-		return nil, err
-	}
-	return ix.Filter(func(d CompileDiag) bool {
-		return d.Message == "Found IsInBounds" || d.Message == "Found IsSliceInBounds"
-	}), nil
 }

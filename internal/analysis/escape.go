@@ -1,6 +1,5 @@
 // Compiler escape-analysis ingestion for the hotalloc pass, a thin
-// filter over the shared compile-diagnostic runner in compilediag.go
-// (which also feeds the inlinecost pass from the same cached -m=2 run).
+// filter over the cached compile-diagnostic runner in compilediag.go.
 package analysis
 
 import "strings"
@@ -28,7 +27,7 @@ func LoadEscapes(dir string, pkgPaths []string) (*EscapeIndex, error) {
 
 // isEscapeHeadline reports whether a -m=2 headline proves a heap
 // allocation ("escapes to heap" / "moved to heap"); the "does not
-// escape" negatives and inline verdicts are someone else's records.
+// escape" negatives and inline verdicts are dropped.
 func isEscapeHeadline(msg string) bool {
 	return strings.HasSuffix(msg, "escapes to heap") || strings.HasPrefix(msg, "moved to heap")
 }

@@ -305,7 +305,7 @@ func isEllipsisCall(call *ast.CallExpr) bool { return call.Ellipsis.IsValid() }
 
 // exempt applies the one-level dominance exemptions: error-path sites and
 // the init-time prologue of the Run/RunChecked drivers. The path walk
-// itself lives in analysis.SiteContext, shared with the codegen passes.
+// itself lives in analysis.SiteContext.
 func exempt(n *analysis.FuncNode, pos token.Pos, isRootDriver bool) bool {
 	inLoop, onErrorPath, ok := analysis.SiteContext(n, pos)
 	if !ok {

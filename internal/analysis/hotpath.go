@@ -1,8 +1,7 @@
-// Shared machinery of the cycle-closure passes (hotalloc, bce, devirt,
-// inlinecost): the steady-state roots the call-graph closure starts at,
-// the error-path/init-prologue site classification hotalloc introduced,
-// module-relative path rendering for committed baseline artifacts, and
-// the common row type of the `vrlint -codegen` budget artifact.
+// Cycle-closure machinery of the hotalloc pass: the steady-state roots
+// the call-graph closure starts at, the error-path/init-prologue site
+// classification, and module-relative path rendering for the committed
+// census artifact.
 package analysis
 
 import (
@@ -10,7 +9,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -28,7 +26,7 @@ func CycleRoots(g *CallGraph) []string {
 		name := n.Decl.Name.Name
 		switch {
 		case strings.HasSuffix(n.Pkg.PkgPath, "internal/cpu") &&
-			(name == "Run" || name == "RunChecked") && RecvTypeName(n.Decl) == "Core":
+			(name == "Run" || name == "RunChecked") && recvTypeName(n.Decl) == "Core":
 			roots = append(roots, key)
 		case strings.HasSuffix(n.Pkg.PkgPath, "internal/core") &&
 			(name == "Tick" || name == "HoldCommit" || name == "Holding"):
@@ -38,8 +36,8 @@ func CycleRoots(g *CallGraph) []string {
 	return roots
 }
 
-// RecvTypeName returns the bare receiver type name of a method decl.
-func RecvTypeName(fd *ast.FuncDecl) string {
+// recvTypeName returns the bare receiver type name of a method decl.
+func recvTypeName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return ""
 	}
@@ -103,8 +101,8 @@ func SiteContext(n *FuncNode, pos token.Pos) (inLoop, onErrorPath, ok bool) {
 }
 
 // PosAtLine returns the position of the first node in root starting on
-// the given source line, anchoring line-granular compiler diagnostics
-// (escape records, inline verdicts) to the AST.
+// the given source line, anchoring line-granular compiler escape
+// records to the AST.
 func PosAtLine(fset *token.FileSet, root ast.Node, line int) token.Pos {
 	best := token.NoPos
 	ast.Inspect(root, func(m ast.Node) bool {
@@ -179,8 +177,8 @@ func terminatesInError(n *FuncNode, b *ast.BlockStmt) bool {
 
 // ModuleRoot infers the on-disk module root from the loaded packages:
 // the directory a package's import-path-relative suffix hangs off. The
-// budget artifacts (-census, -codegen) render file paths relative to it
-// so committed baselines survive checkouts at different paths.
+// census artifact (-census) renders file paths relative to it so the
+// committed baseline survives checkouts at different paths.
 func ModuleRoot(pkgs []*Package) string {
 	for _, p := range pkgs {
 		if p.Dir == "" || p.PkgPath == "" {
@@ -209,42 +207,4 @@ func RelPath(root, file string) string {
 		return file
 	}
 	return filepath.ToSlash(rel)
-}
-
-// A CodegenEntry is one row of the `vrlint -codegen` budget artifact:
-// one surviving codegen cost in the cycle-reachable closure — a runtime
-// bounds check (bce), a dynamic-dispatch site (devirt) or an
-// uninlinable function (inlinecost) — with its suppression state and
-// justification, mirroring the hotalloc census rows.
-type CodegenEntry struct {
-	File          string `json:"file"` // module-relative
-	Line          int    `json:"line"`
-	Col           int    `json:"col"`
-	Func          string `json:"func"`
-	Pass          string `json:"pass"` // bce | devirt | inlinecost
-	Kind          string `json:"kind"`
-	Detail        string `json:"detail"`
-	Suppressed    bool   `json:"suppressed"`
-	Justification string `json:"justification,omitempty"`
-}
-
-// SortCodegenEntries orders budget rows deterministically for the
-// committed baseline diff: by file, line, column, pass, then detail.
-func SortCodegenEntries(entries []CodegenEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Pass != b.Pass {
-			return a.Pass < b.Pass
-		}
-		return a.Detail < b.Detail
-	})
 }

@@ -271,8 +271,6 @@ func (v *VR) deactivate() {
 // data — the paper's delayed termination only covers *generating* the
 // chain's memory accesses. Under the Reconverge extension, stashed
 // divergent lane groups run their paths to completion first.
-//
-//vrlint:allow inlinecost -- cost 140: chain teardown runs once per vector chain, not per cycle
 func (v *VR) endChain() {
 	if v.resumeDivergent() {
 		return // still in vectorized mode, on the stashed group's path
@@ -581,8 +579,6 @@ func (v *VR) gather(c *cpu.Core, in isa.Instr, addrs []uint64) int {
 }
 
 // anyTaintedSource reports whether in reads a tainted (vectorized) register.
-//
-//vrlint:allow inlinecost -- cost 81: one over budget from the stack-scratch Sources idiom that keeps it allocation-free
 func (v *VR) anyTaintedSource(in isa.Instr) bool {
 	var srcBuf [3]isa.Reg // stack scratch: Sources appends at most 3 regs
 	for _, r := range in.Sources(srcBuf[:0]) {

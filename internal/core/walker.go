@@ -46,8 +46,6 @@ type walker struct {
 }
 
 // newWalker snapshots the core's approximate context into a fresh walker.
-//
-//vrlint:allow inlinecost -- cost 94: runs once per runahead activation; the context copy is the work
 func newWalker(c *cpu.Core) walker {
 	ctx, startPC := c.ApproxContext()
 	w := walker{
@@ -66,8 +64,6 @@ func (w *walker) fetch() isa.Instr { return w.prog.At(w.pc) }
 
 // srcOK reports whether both register sources needed by in are valid, and
 // returns their values.
-//
-//vrlint:allow inlinecost -- cost 101: validity rules per operand class are one flat switch; splitting obscures them
 func (w *walker) srcOK(in isa.Instr) (a, b uint64, ok bool) {
 	a, b = w.regs[in.Src1], w.regs[in.Src2]
 	ok = true

@@ -535,8 +535,6 @@ type RegContext struct {
 // ApproxContext builds the runahead register context and the PC to
 // pre-execute from (the oldest unfinished instruction, normally the
 // blocking load at the ROB head).
-//
-//vrlint:allow inlinecost -- cost 147: runs once per runahead activation; the register snapshot is the work
 func (c *Core) ApproxContext() (ctx RegContext, startPC int) {
 	ctx.Regs = c.archRegs
 	for i := range ctx.Valid {
@@ -903,8 +901,6 @@ func (c *Core) retire(e *robEntry) {
 // dropStoreSlow is the cold fallback of retire's store-ring pop: a
 // mid-ring removal that by construction never runs (storeDropScans counts
 // it; tests pin it at zero).
-//
-//vrlint:allow inlinecost -- cost 90: cold by construction — the fast path pops the ring front and tests pin storeDropScans at zero
 func (c *Core) dropStoreSlow(slot int) {
 	c.storeDropScans++
 	s := c.stores
@@ -1028,8 +1024,6 @@ func (c *Core) link(p *robEntry, s, k int) {
 
 // unlinkSources takes every linked source node of e off its producer's
 // dependent list (squash).
-//
-//vrlint:allow inlinecost -- cost 87: squash-only, one doubly-linked unlink per linked source
 func (c *Core) unlinkSources(e *robEntry) {
 	for m := e.linked; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros8(m) & 3
@@ -1091,8 +1085,6 @@ func (c *Core) schedule(s int, e *robEntry, w uint64) {
 
 // enwheel puts the entry in slot s on the wheel bucket for cycle w, or on
 // the far list when w is beyond the wheel's span.
-//
-//vrlint:allow inlinecost -- cost 120: one list push on either of two heads plus the map bit; schedule keeps the ready-now fast path inlinable
 func (c *Core) enwheel(s int, e *robEntry, w uint64) {
 	e.wake = w
 	if w-c.wheelAt > wheelSize {
@@ -1120,8 +1112,6 @@ func (c *Core) pushWheel(head *int32, s int, e *robEntry) {
 }
 
 // unwheel takes e off its wheel list.
-//
-//vrlint:allow inlinecost -- cost 86: squash and far-list refill only, one doubly-linked unlink
 func (c *Core) unwheel(e *robEntry) {
 	head := &c.far
 	b := e.wake & (wheelSize - 1)
@@ -1167,8 +1157,6 @@ func (c *Core) drainWheel() {
 }
 
 // fireBucket empties wheel bucket b: its entries are due now.
-//
-//vrlint:allow inlinecost -- cost 136: called only for a non-empty due bucket; the list walk is the work
 func (c *Core) fireBucket(b uint64) {
 	b &= wheelSize - 1
 	for s := c.wheel[b]; s != noLink; {
@@ -1193,8 +1181,6 @@ func (c *Core) fire(s int, e *robEntry) {
 }
 
 // captureValue completes a store that issued without its value.
-//
-//vrlint:allow inlinecost -- cost 89: once per store that issued ahead of its value; inlining srcValue is most of it
 func (c *Core) captureValue(e *robEntry) {
 	e.val = c.srcValue(e, e.nsrc-1)
 	e.valReady = true
@@ -1244,8 +1230,6 @@ func (c *Core) bucketCycle(b uint64) uint64 {
 }
 
 // unschedule removes a squashed entry from the wakeup structures.
-//
-//vrlint:allow inlinecost -- cost 157: squash-only, once per squashed entry; each structure's removal is the work
 func (c *Core) unschedule(s int, e *robEntry) {
 	if !e.issued && e.fu != isa.FUNone {
 		c.iqLen -= int(e.copies)
@@ -1422,8 +1406,6 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 // forward looks for the youngest older in-flight store to the same word.
 // A resolved match forwards (or delays the load until the value is ready);
 // unresolved older stores are speculated past.
-//
-//vrlint:allow inlinecost -- cost 91: the ring guard that removes the scan's per-iteration bounds checks costs more statically than it saved
 func (c *Core) forward(loadSeq uint64, addr uint64) (fwd bool, val uint64, ready bool) {
 	word := addr >> 3
 	s := c.stores
@@ -1639,8 +1621,6 @@ func (c *Core) dispatch() {
 // copies count, and with it iqLen, matches.
 
 // occupyIQ gives a newly dispatched entry its issue-queue slot.
-//
-//vrlint:allow inlinecost -- cost 115: once per dispatched instruction; the dead capacity guard keeps the append bounds-check-free
 func (c *Core) occupyIQ(s int, e *robEntry) {
 	if c.iqOrderLen == len(c.iqOrder) {
 		c.compactIQOrder()

@@ -62,8 +62,6 @@ func (m *MSHRFile) expire(cycle uint64) {
 }
 
 // sweep compacts out the entries completed by cycle.
-//
-//vrlint:allow inlinecost -- cost 82: the slow path split out of expire, run only once some miss has completed; out of line it keeps expire inlinable
 func (m *MSHRFile) sweep(cycle uint64) {
 	w := 0
 	for i := 0; i < m.n; i++ {
@@ -89,8 +87,6 @@ func (m *MSHRFile) recomputeMinDone() {
 // Outstanding returns the completion cycle and requesting source if the
 // line already has an MSHR allocated at the given cycle (a secondary miss
 // that merges).
-//
-//vrlint:allow inlinecost -- cost 111: expire's inlined fast path plus the merge scan over a config-bounded file
 func (m *MSHRFile) Outstanding(line uint64, cycle uint64) (done uint64, src PrefetchSource, ok bool) {
 	m.expire(cycle)
 	for i := 0; i < m.n; i++ {
@@ -151,8 +147,6 @@ func (m *MSHRFile) Acquire(cycle uint64) (start uint64) {
 
 // TryAcquire allocates an MSHR only if one is free at cycle; prefetchers
 // use it so they never stall (a full file just drops the prefetch).
-//
-//vrlint:allow inlinecost -- cost 91: expire's inlined fast path dominates; the sweep itself is out of line
 func (m *MSHRFile) TryAcquire(cycle uint64) bool {
 	m.expire(cycle)
 	if m.n >= m.capacity {

@@ -104,7 +104,6 @@ func (p *IMP) OnAccess(h *mem.Hierarchy, ev mem.AccessEvent) {
 // learn tests the access against base+(value<<shift) hypotheses.
 //
 //vrlint:allow hotalloc -- hypothesis inserts are bounded by the table size; pooled by the PR-8 overhaul
-//vrlint:allow inlinecost -- cost 114: hypothesis testing loop is the learner; runs per trained access, not per cycle
 func (p *IMP) learn(ev mem.AccessEvent) {
 	pats := p.patterns[p.lastIndex.pc]
 	for _, shift := range candidateShifts {
