@@ -9,10 +9,10 @@ import (
 )
 
 func bad(cfg *harness.Config) {
-	harness.Run(cfg)      // want `call to harness.Run without a dominating Validate`
-	_ = cpu.New(128)      // want `call to cpu.New without a dominating Validate`
-	_ = vcore.NewVR()     // want `call to core.NewVR without a dominating Validate`
-	_ = vcore.NewPRE()    // want `call to core.NewPRE without a dominating Validate`
+	harness.Run(cfg)         // want `call to harness.Run without a dominating Validate`
+	_ = cpu.New(128)         // want `call to cpu.New without a dominating Validate`
+	_ = vcore.NewVR()        // want `call to core.NewVR without a dominating Validate`
+	_ = vcore.NewPRE()       // want `call to core.NewPRE without a dominating Validate`
 	_ = vcore.NewClassicRA() // want `call to core.NewClassicRA without a dominating Validate`
 }
 

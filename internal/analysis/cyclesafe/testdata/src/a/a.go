@@ -35,7 +35,7 @@ func guarded(c *Core, done, cycle uint64) uint64 {
 	if cycle > done {
 		return d
 	}
-	d += done - cycle // preceding early-exit guards: allowed
+	d += done - cycle            // preceding early-exit guards: allowed
 	lat := c.cycle - c.statsBase // want `unsigned counter subtraction c.cycle - c.statsBase`
 	return d + lat
 }
