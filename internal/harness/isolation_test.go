@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
@@ -237,6 +238,42 @@ func TestWorkloadImageLifetime(t *testing.T) {
 	}
 	if path, _ := pool.workloadImage(w); path != "" {
 		t.Errorf("closed pool wrote an image: %s", path)
+	}
+}
+
+// TestStaleImageDirSweep: a new pool removes the image directory of a
+// supervisor that died without Close, keeps a live supervisor's, and
+// leaves names that carry no PID alone.
+func TestStaleImageDirSweep(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	child := exec.Command("/bin/sh", "-c", "exit 0")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dead := filepath.Join(tmp, fmt.Sprintf("%s%d-1", imageDirPrefix, child.Process.Pid))
+	live := filepath.Join(tmp, fmt.Sprintf("%s%d-2", imageDirPrefix, os.Getpid()))
+	noPID := filepath.Join(tmp, imageDirPrefix+"3")
+	for _, dir := range []string{dead, live, noPID} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "camel.img"), []byte("image"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logged []string
+	newTestPool(t, PoolConfig{Workers: 1, Log: func(s string) { logged = append(logged, s) }})
+	if _, err := os.Stat(dead); !os.IsNotExist(err) {
+		t.Errorf("directory of reaped pid %d survived the sweep: %v", child.Process.Pid, err)
+	}
+	for _, dir := range []string{live, noPID} {
+		if _, err := os.Stat(filepath.Join(dir, "camel.img")); err != nil {
+			t.Errorf("sweep touched %s: %v", dir, err)
+		}
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], dead) {
+		t.Errorf("sweep log = %q, want one note naming %s", logged, dead)
 	}
 }
 

@@ -25,7 +25,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"vrsim/internal/workloads"
@@ -150,6 +153,9 @@ func NewWorkerPool(cfg PoolConfig) (*WorkerPool, error) {
 		workers = 1
 	}
 	p := &WorkerPool{cfg: cfg, slots: make(chan struct{}, workers)}
+	for _, dir := range sweepStaleImageDirs(os.TempDir()) {
+		p.logf("removed %s, left behind by a supervisor that exited without closing its pool", dir)
+	}
 	p.hbDeadline = cfg.HeartbeatDeadline
 	if p.hbDeadline <= 0 {
 		p.hbDeadline = 5 * cfg.HeartbeatEvery
@@ -264,7 +270,7 @@ func (p *WorkerPool) workloadImage(w *workloads.Workload) (string, uint32) {
 		return "", 0
 	}
 	if p.imageDir == "" {
-		dir, err := os.MkdirTemp("", "vrsim-images-")
+		dir, err := os.MkdirTemp("", imageDirPrefix+strconv.Itoa(os.Getpid())+"-")
 		if err != nil {
 			p.mu.Unlock()
 			p.logf("cannot create the workload image directory; workers will build workloads themselves: %v", err)
@@ -288,6 +294,32 @@ func (p *WorkerPool) workloadImage(w *workloads.Workload) (string, uint32) {
 		return "", 0
 	}
 	return img.path, img.sum
+}
+
+// imageDirPrefix starts the name of every pool's image directory in the
+// temp dir: vrsim-images-<supervisor pid>-<random>. The PID is what lets
+// a later pool recognise a directory whose supervisor died before Close
+// (a SIGKILL leaves one behind, often over 100 MB).
+const imageDirPrefix = "vrsim-images-"
+
+// sweepStaleImageDirs removes the image directories under tmp whose
+// supervisor PID no longer exists (kill(pid, 0) fails with ESRCH) and
+// returns them. A directory whose PID is alive, or belongs to a process
+// this one may not signal, is kept, as is any name that carries no PID.
+func sweepStaleImageDirs(tmp string) []string {
+	dirs, _ := filepath.Glob(filepath.Join(tmp, imageDirPrefix+"*-*"))
+	var removed []string
+	for _, dir := range dirs {
+		pidStr, _, _ := strings.Cut(strings.TrimPrefix(filepath.Base(dir), imageDirPrefix), "-")
+		pid, err := strconv.Atoi(pidStr)
+		if err != nil || pid <= 0 || !errors.Is(syscall.Kill(pid, 0), syscall.ESRCH) {
+			continue
+		}
+		if os.RemoveAll(dir) == nil {
+			removed = append(removed, dir)
+		}
+	}
+	return removed
 }
 
 // writeImageFile writes w's image to path. A partial file left by a

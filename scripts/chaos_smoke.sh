@@ -23,6 +23,12 @@ fail() {
 	exit 1
 }
 
+# interrupted_evidence prints what the SIGINT run left behind, for its
+# failure messages: its stderr and the tail of its table output.
+interrupted_evidence() {
+	echo "stderr: $(cat "$dir/interrupted.err"); stdout tail: $(tail -n 20 "$dir/interrupted.txt")"
+}
+
 # The campaign: one experiment, three workloads (6 cells), per-cell seeded
 # latency/drop faults plus a count-based panic fault, bounded retries and
 # a generous per-cell deadline — every resilience flag exercised at once.
@@ -36,7 +42,8 @@ echo "chaos: building vrbench (race detector on)"
 "$GO" build -race -o "$dir/vrbench" ./cmd/vrbench
 
 # Isolated supervisors write their workload images under $TMPDIR. Keep
-# them inside $dir: the supervisor SIGKILLed below cannot remove its own.
+# them inside $dir: the supervisor SIGKILLed below cannot remove its own,
+# and the resumed run must sweep it.
 export TMPDIR="$dir/tmp"
 mkdir -p "$TMPDIR"
 
@@ -72,11 +79,11 @@ int_status=$?
 set -e
 if [ "$int_status" -eq 130 ]; then
 	grep -q "CANCELLED" "$dir/interrupted.txt" ||
-		fail "interrupted run exited 130 without a CANCELLED partial-table summary"
+		fail "interrupted run exited 130 without a CANCELLED partial-table summary ($(interrupted_evidence))"
 elif [ "$int_status" -eq "$golden_status" ]; then
 	echo "chaos: note: campaign finished before the interrupt landed; resuming a complete journal instead"
 else
-	fail "interrupted run exited $int_status (want 130, or $golden_status if it finished first)"
+	fail "interrupted run exited $int_status (want 130, or $golden_status if it finished first) ($(interrupted_evidence))"
 fi
 
 echo "chaos: resumed run"
@@ -163,6 +170,10 @@ diff -u "$dir/golden.txt" "$dir/survivor2.txt" >&2 ||
 	fail "supervisor SIGKILL + resume changed the campaign output"
 [ "$survivor_status" -eq "$golden_status" ] ||
 	fail "post-SIGKILL resume exited $survivor_status, golden exited $golden_status"
+# The killed supervisor could not remove its image directory; the resumed
+# supervisor's pool sweeps it on start and removes its own on Close.
+leftover="$(find "$TMPDIR" -maxdepth 1 -name 'vrsim-images-*')"
+[ -z "$leftover" ] || fail "image directories survived the post-SIGKILL resume: $leftover"
 
 echo "chaos: exit-code spot checks"
 set +e
