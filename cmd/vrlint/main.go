@@ -2,8 +2,9 @@
 // ten vrsim-specific static-analysis passes — six per-package (simdet,
 // panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and four
 // module-scope (statsflow, hotalloc, lockcheck, observe) — over the
-// repository and fails when any invariant is violated. See DESIGN.md "Static invariants" for what each pass
-// encodes and the `//vrlint:allow` suppression syntax.
+// repository and fails when any invariant is violated. See DESIGN.md
+// "Static invariants" for what each pass encodes and the
+// `//vrlint:allow` suppression syntax.
 //
 // Standalone usage (what `make lint` runs):
 //

@@ -311,7 +311,7 @@ func (g *CallGraph) callEdges(pkg *Package, owner string, ftype *ast.FuncType, b
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 				if types.IsInterface(s.Recv()) {
-					for _, impl := range g.Implementations(s.Recv(), f.Name()) {
+					for _, impl := range g.implementations(s.Recv(), f.Name()) {
 						g.addEdge(owner, impl)
 					}
 				}
@@ -468,11 +468,11 @@ func (g *CallGraph) recordCompositeAssigns(pkg *Package, cl *ast.CompositeLit) {
 	}
 }
 
-// Implementations returns the keys of every module method named name
+// implementations returns the keys of every module method named name
 // whose receiver type structurally implements iface (method-name-set
 // inclusion; nominal identity does not survive the per-package type
 // universes). CalleeKeys fans an interface call out over this set.
-func (g *CallGraph) Implementations(iface types.Type, name string) []string {
+func (g *CallGraph) implementations(iface types.Type, name string) []string {
 	it, ok := iface.Underlying().(*types.Interface)
 	if !ok {
 		return nil
@@ -524,7 +524,7 @@ func (g *CallGraph) CalleeKeys(pkg *Package, call *ast.CallExpr) []string {
 	add(funcKeyOf(f))
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && types.IsInterface(s.Recv()) {
-			for _, impl := range g.Implementations(s.Recv(), f.Name()) {
+			for _, impl := range g.implementations(s.Recv(), f.Name()) {
 				add(impl)
 			}
 		}

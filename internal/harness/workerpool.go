@@ -306,6 +306,9 @@ const imageDirPrefix = "vrsim-images-"
 // supervisor PID no longer exists (kill(pid, 0) fails with ESRCH) and
 // returns them. A directory whose PID is alive, or belongs to a process
 // this one may not signal, is kept, as is any name that carries no PID.
+// A PID from another PID namespace sharing the temp dir can look dead;
+// sweeping its directory costs that pool's workers only a rebuild, since
+// a missing image falls back to ByName.
 func sweepStaleImageDirs(tmp string) []string {
 	dirs, _ := filepath.Glob(filepath.Join(tmp, imageDirPrefix+"*-*"))
 	var removed []string
